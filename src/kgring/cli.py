@@ -22,6 +22,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -196,13 +197,22 @@ def _build_params(args) -> PotentialParams:
     )
 
 
-def _tuples(args):
-    return [
+def _rows(args, record):
+    """record(N, n, m) over the quantum-number grid, in fixed row order.
+
+    A row depends on m only through m^2 and |m|, so each distinct (N, n, |m|)
+    is evaluated once (concurrently, see `_sweep`) and the -m row is the +m
+    record with its m field set.
+    """
+    rows = [
         (N, n, m)
         for N in range(args.Nmax + 1)
         for n in range(args.nmax + 1)
         for m in range(-args.mmax, args.mmax + 1)
     ]
+    keys = list(dict.fromkeys((N, n, abs(m)) for N, n, m in rows))
+    done = dict(zip(keys, _sweep(lambda t: record(*t), keys)))
+    return [{**done[(N, n, abs(m))], "m": m} for N, n, m in rows]
 
 
 # -- spectrum ---------------------------------------------------------------
@@ -224,10 +234,7 @@ def _spectrum_record(params, N, n, m, tol, max_iter) -> dict:
 
 def cmd_spectrum(args) -> int:
     params = _build_params(args)
-    records = _sweep(
-        lambda t: _spectrum_record(params, *t, tol=args.tol, max_iter=args.max_iter),
-        _tuples(args),
-    )
+    records = _rows(args, partial(_spectrum_record, params, tol=args.tol, max_iter=args.max_iter))
     text = (_emit_csv(records, SPECTRUM_FIELDS) if args.format == "csv"
             else _emit_json(records))
     sys.stdout.write(text)
@@ -345,8 +352,7 @@ def _verify_record(params, N, n, m, args, grid) -> dict:
 def cmd_verify(args) -> int:
     params = _build_params(args)
     grid = GridSpec(points=args.points, refinement=args.refine)
-    records = _sweep(lambda t: _verify_record(params, *t, args=args, grid=grid),
-                     _tuples(args))
+    records = _rows(args, partial(_verify_record, params, args=args, grid=grid))
     all_ok = all(r["ok"] for r in records)
     worst_e = max((r["energy_err"] for r in records if r["energy_err"] is not None),
                   default=None)

@@ -8,12 +8,17 @@ expose the same two functions with identical semantics:
     count_below_affine(dbase, dlin, c, off_sq, x)-> same for diag = dbase + c*dlin
 
 Arrays must be contiguous float64 (the compiled kernel is typed; use
-`as_kernel_array`). The bisection driver below is shared by both backends:
-counting is the only part worth compiling.
+`as_kernel_array`). The bisection drivers below are shared by both backends:
+counting is the only part worth compiling. Every probe is a full pivot
+sweep, so the drivers spend as few as they can without changing a result:
+`bisect` walks the midpoint tree of a bracket, and `within_bounds` lets it
+skip the midpoints whose answer a verified guess (a coarser grid's value)
+already implies.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -42,12 +47,75 @@ def as_kernel_array(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14) -> float:
+def bisect(below, lo: float, hi: float, rel_tol: float, scale: float = 1.0) -> float:
+    """Midpoint of the final bracket of a monotone predicate's crossing.
+
+    `below(x)` is true left of the crossing and false right of it; `below(lo)`
+    and `not below(hi)` are taken as given. Halves (lo, hi) until it is no
+    wider than rel_tol * max(scale, |lo|, |hi|) or the midpoint rounds onto
+    an end.
+    """
+    while hi - lo > rel_tol * max(scale, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def within_bounds(below, lo: float, hi: float, bounds, rel_tol: float, scale: float = 1.0):
+    """`below` that answers without a probe outside verified bounds.
+
+    `bounds` = (a, b) is a guess at an interval around the crossing. Each
+    side starts half its width from its centre (at least the resolution
+    rel_tol * max(scale, |centre|) that `bisect` stops at) and moves out
+    fourfold until one probe confirms it: below(a) true, below(b) false. A
+    side pushed back to lo or hi without confirming implies nothing.
+    For a monotone `below` the answers outside (a, b) are then already known,
+    so a bisection over the returned predicate visits the same midpoints and
+    returns the same float as over `below`, with fewer probes; a wrong guess
+    costs probes, never accuracy.
+    """
+    a, b = (float(v) for v in bounds)
+    centre = 0.5 * (a + b)
+    if not math.isfinite(centre):
+        return below
+    half = max(0.5 * abs(b - a), rel_tol * max(scale, abs(centre)))
+
+    def confirmed(step: float, edge: float, want: bool) -> float:
+        while True:
+            x = min(max(centre + step, lo), hi)
+            if below(x) == want:
+                return x
+            if x == edge:
+                return -math.inf if want else math.inf
+            step *= 4.0
+
+    known_lo = confirmed(-half, lo, True)
+    known_hi = confirmed(half, hi, False)
+
+    def probe(x: float) -> bool:
+        if x <= known_lo:
+            return True
+        if x >= known_hi:
+            return False
+        return below(x)
+
+    return probe
+
+
+def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14, bounds=None) -> float:
     """k-th smallest eigenvalue of the symmetric tridiagonal (diag, off).
 
     Sturm bisection inside the Gershgorin enclosure: count_below(x) <= k
     exactly while x <= lambda_k, so the midpoint test needs one pivot sweep
-    and no eigenvectors.
+    and no eigenvectors. `bounds` = (a, b) is an optional guess at an
+    interval around lambda_k (say, the same eigenvalue on a coarser grid);
+    it is checked before use (see `within_bounds`) and changes only how many
+    sweeps run, not the returned float.
     """
     d = as_kernel_array(diag)
     e = as_kernel_array(off)
@@ -65,12 +133,10 @@ def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14) -> float:
     span = max(hi - lo, 1.0)
     lo -= 1e-12 * span
     hi += 1e-12 * span
-    while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if count_below(d, e2, mid) <= k:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def below(x: float) -> bool:
+        return count_below(d, e2, x) <= k
+
+    if bounds is not None:
+        below = within_bounds(below, lo, hi, bounds, rel_tol)
+    return bisect(below, lo, hi, rel_tol)

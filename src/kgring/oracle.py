@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
-from .kernels import as_kernel_array, count_below_affine, eigenvalue_indexed
+from .kernels import as_kernel_array, bisect, count_below_affine, eigenvalue_indexed, within_bounds
 
 if TYPE_CHECKING:  # only the parameter bundle's attributes are used
     from .bound_states import PotentialParams
@@ -103,10 +103,13 @@ def radial_numeric_energy(
 ) -> float:
     """Energy of the N-th radial level at separation constant lam.
 
-    Scans (-mass, mass) for the sign change of the count predicate, bisects
-    it to the grid's own accuracy on each refinement level, then extrapolates
-    in h^2, h^4, ... With `tol` given, certifies that the last correction is
-    consistent with that tolerance (relative to mass) or raises GridTooCoarse.
+    On each refinement level, finds the cell of 65 edges across (-mass, mass)
+    where the count predicate flips, by bisecting the edges by index, then
+    bisects the cell to the grid's own accuracy; finer levels probe only
+    inside bounds verified around the coarser level's value, which moves
+    them no bit. Then extrapolates in h^2, h^4, ... With `tol` given,
+    certifies that the last correction is consistent with that tolerance
+    (relative to mass) or raises GridTooCoarse.
     """
     if not isinstance(N, int) or N < 0:
         raise DomainError(f"N must be a non-negative int, got {N!r}")
@@ -128,17 +131,27 @@ def radial_numeric_energy(
         eps0 = max(mass * (1.0 - strength * strength / (2.0 * npr_est * npr_est)), -0.9 * mass)
         r_max = 80.0 * npr_est * npr_est / ((eps0 + mass) * strength)
 
-    vals = [
-        _radial_level(mass, strength, lam, N, r_max, _level_points(grid.points, j))
-        for j in range(grid.refinement + 1)
-    ]
+    vals: list[float] = []
+    for j in range(grid.refinement + 1):
+        npts = _level_points(grid.points, j)
+        vals.append(_radial_level(mass, strength, lam, N, r_max, npts, _coarser(vals)))
     orders = [2.0 * (i + 1) for i in range(grid.refinement)]
     diag = _extrapolate(vals, orders)
     _certify(diag, tol, mass, grid.refinement)
     return diag[-1]
 
 
-def _radial_level(mass: float, strength: float, lam: float, N: int, r_max: float, npts: int) -> float:
+def _coarser(vals: Sequence[float]):
+    """Guessed bounds for the next finer level: the last value, give or take its last move."""
+    if not vals:
+        return None
+    move = abs(vals[-1] - vals[-2]) if len(vals) > 1 else 0.0
+    return (vals[-1] - move, vals[-1] + move)
+
+
+def _radial_level(
+    mass: float, strength: float, lam: float, N: int, r_max: float, npts: int, bounds=None
+) -> float:
     h = r_max / (npts + 1)
     r = h * np.arange(1, npts + 1)
     dbase = as_kernel_array(2.0 / (h * h) + lam / (r * r))
@@ -152,25 +165,22 @@ def _radial_level(mass: float, strength: float, lam: float, N: int, r_max: float
         target = eps * eps - mass * mass
         return count_below_affine(dbase, dlin, eps + mass, off_sq, target) <= N
 
-    edges = np.linspace(-mass * (1.0 - 1e-9), mass * (1.0 - 1e-9), 65)
-    flags = [below_level(float(e)) for e in edges]
-    bracket = None
-    for i in range(len(edges) - 1):
-        if flags[i] and not flags[i + 1]:
-            bracket = (float(edges[i]), float(edges[i + 1]))
-            break
-    if bracket is None:
+    edges = np.linspace(-mass * (1.0 - 1e-9), mass * (1.0 - 1e-9), 65).tolist()
+    below = below_level
+    if bounds is not None:
+        below = within_bounds(below_level, edges[0], edges[-1], bounds, 1e-14, mass)
+    # the crossing cell among the edges, bisected by index: the predicate is
+    # monotone in eps, so the edges hold one true -> false step
+    i, j = 0, len(edges) - 1
+    if not below(edges[i]) or below(edges[j]):
         raise NoBoundState(f"no level crossing for N = {N} inside (-mass, mass)")
-    a, b = bracket
-    for _ in range(100):
-        if b - a <= 1e-14 * mass:
-            break
-        mid = 0.5 * (a + b)
-        if below_level(mid):
-            a = mid
+    while j - i > 1:
+        k = (i + j) // 2
+        if below(edges[k]):
+            i = k
         else:
-            b = mid
-    return 0.5 * (a + b)
+            j = k
+    return bisect(below, edges[i], edges[j], 1e-14, mass)
 
 
 def angular_numeric_lambda(
@@ -183,7 +193,9 @@ def angular_numeric_lambda(
 ) -> float:
     """n-th eigenvalue of the polar equation at fixed ring strengths.
 
-    With `tol` given, certifies the last extrapolation correction relative to
+    Each finer level passes the coarser level's value to `eigenvalue_indexed`
+    as a bounds guess, which saves sweeps and changes no bit. With `tol`
+    given, certifies the last extrapolation correction relative to
     max(1, |lam|) or raises GridTooCoarse.
     """
     if not isinstance(m, int) or isinstance(m, bool):
@@ -214,10 +226,12 @@ def angular_numeric_lambda(
         k += 1.0
     orders.sort()
 
-    vals = [
-        _angular_level(mm, gamma_eff, two_nu_m, two_nu_p, n, _level_points(grid.points, j), float(grid.margin))
-        for j in range(levels)
-    ]
+    vals: list[float] = []
+    for j in range(levels):
+        npts = _level_points(grid.points, j)
+        vals.append(
+            _angular_level(mm, gamma_eff, two_nu_m, two_nu_p, n, npts, float(grid.margin), _coarser(vals))
+        )
     diag = _extrapolate(vals, orders)
     _certify(diag, tol, max(1.0, abs(diag[-1])), grid.refinement)
     return diag[-1]
@@ -231,6 +245,7 @@ def _angular_level(
     n: int,
     npts: int,
     margin: float,
+    bounds=None,
 ) -> float:
     dir_m = two_nu_m > 0.0
     dir_p = two_nu_p > 0.0
@@ -268,7 +283,7 @@ def _angular_level(
     w = np.sqrt(cell / h)
     diag_s = diag / (w * w)
     off_s = off / (w[:-1] * w[1:])
-    return eigenvalue_indexed(diag_s, off_s, n)
+    return eigenvalue_indexed(diag_s, off_s, n, bounds=bounds)
 
 
 def ode_residual(f, xs, coeff: Callable[[float], float]) -> float:

@@ -45,6 +45,22 @@ class TestGoldenFiles:
         assert p.returncode == 2
         assert p.stdout == (GOLDEN / "spectrum_ring.json").read_bytes()
 
+    def test_ring_states_json(self):
+        # converged ring rows: energy, iterations and residual to the last
+        # digit, and the +-m rows in grid order
+        p = run_cli(*RING)
+        assert p.returncode == 0
+        assert p.stdout == (GOLDEN / "spectrum_ring_states.json").read_bytes()
+
+    def test_verify_ring_csv(self):
+        # the oracle's energy_fd and lambda_fd to the last digit: eight
+        # certified +-1 rows, four m = 0 rows failing closed, exit 2
+        p = run_cli("verify", "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02",
+                    "--mass", "1", "--Nmax", "1", "--nmax", "1", "--mmax", "1",
+                    "--points", "400", "--refine", "2", "--format", "csv")
+        assert p.returncode == 2
+        assert p.stdout == (GOLDEN / "verify_ring.csv").read_bytes()
+
 
 class TestJsonContract:
     def test_floats_survive_reparse(self):

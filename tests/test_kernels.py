@@ -6,12 +6,44 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kgring._sturm_py as pure
 from kgring import kernels
 from kgring.errors import DomainError
 
 BACKENDS = [("dispatched", kernels), ("pure", pure)]
+
+
+def loop_count_below(diag, off_sq, x):
+    """The scalar pivot loop the kernels reproduce count for count."""
+    d, e2 = list(diag), list(off_sq)
+    q = d[0] - x
+    if -pure._PIVMIN < q < pure._PIVMIN:
+        q = -pure._PIVMIN
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(d)):
+        q = d[i] - x - e2[i - 1] / q
+        if -pure._PIVMIN < q < pure._PIVMIN:
+            q = -pure._PIVMIN
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def loop_count_below_affine(diag_base, diag_lin, c, off_sq, x):
+    db, dl, e2 = list(diag_base), list(diag_lin), list(off_sq)
+    q = db[0] + c * dl[0] - x
+    if -pure._PIVMIN < q < pure._PIVMIN:
+        q = -pure._PIVMIN
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(db)):
+        q = db[i] + c * dl[i] - x - e2[i - 1] / q
+        if -pure._PIVMIN < q < pure._PIVMIN:
+            q = -pure._PIVMIN
+        if q < 0.0:
+            count += 1
+    return count
 
 
 def random_tridiag(rng, n):
@@ -118,3 +150,105 @@ class TestEigenvalueIndexed:
             kernels.eigenvalue_indexed(d, e, -1)
         with pytest.raises(DomainError):
             kernels.eigenvalue_indexed(d, np.zeros(1), 0)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tridiagonals(draw, max_n=24):
+    """(d, e2, as_list): arbitrary reals, or small integers that make exact
+    zero pivots (and so the -PIVMIN clamp) common."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        d = draw(st.lists(finite, min_size=n, max_size=n))
+        e2 = draw(st.lists(st.floats(0.0, 1e3), min_size=n - 1, max_size=n - 1))
+    else:
+        d = draw(st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n))
+        e2 = draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]), min_size=n - 1, max_size=n - 1))
+    return d, e2, draw(st.booleans())
+
+
+def _shape(v, as_list, mod):
+    # only the pure-Python kernel takes lists; the compiled one is typed
+    return list(v) if as_list and mod is pure else kernels.as_kernel_array(v)
+
+
+def _on_eigenvalue(draw, d, e2):
+    eigs = dense_eigs(np.asarray(d), np.sqrt(np.asarray(e2)))
+    return float(draw(st.sampled_from(list(eigs) + list(d))))
+
+
+class TestLoopEquivalence:
+    """The numpy-shifted sweep counts exactly like the scalar loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tri=tridiagonals(), x=finite, data=st.data())
+    def test_count_below(self, tri, x, data):
+        d, e2, as_list = tri
+        for xv in (x, _on_eigenvalue(data.draw, d, e2)):
+            for name, mod in BACKENDS:
+                got = mod.count_below(_shape(d, as_list, mod), _shape(e2, as_list, mod), xv)
+                assert got == loop_count_below(d, e2, xv), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(tri=tridiagonals(), x=finite, data=st.data(),
+           c=st.one_of(finite, st.floats(-1e12, 1e12)),
+           tiny=st.floats(1e-9, 1.0))
+    def test_count_below_affine(self, tri, x, data, c, tiny):
+        # diag_base shrunk by `tiny` so c * diag_lin can dominate it by 1e21
+        dl, e2, as_list = tri
+        db = [tiny * v for v in data.draw(st.lists(finite, min_size=len(dl), max_size=len(dl)))]
+        shifted = [b + c * v for b, v in zip(db, dl)]
+        for xv in (x, _on_eigenvalue(data.draw, shifted, e2)):
+            for name, mod in BACKENDS:
+                got = mod.count_below_affine(_shape(db, as_list, mod), _shape(dl, as_list, mod), c,
+                                             _shape(e2, as_list, mod), xv)
+                assert got == loop_count_below_affine(db, dl, c, e2, xv), name
+
+
+class TestEigenvalueBounds:
+    """A bounds guess changes the sweeps eigenvalue_indexed runs, never its float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), data=st.data())
+    def test_any_guess_returns_the_unguided_float(self, seed, n, data):
+        rng = np.random.default_rng(seed)
+        d, e = random_tridiag(rng, n)
+        k = data.draw(st.integers(0, n - 1))
+        plain = kernels.eigenvalue_indexed(d, e, k)
+        w = data.draw(st.sampled_from([0.0, 1e-13, 1e-6, 1e-2, 1.0, 1e3]))
+        off = data.draw(st.sampled_from([0.0, 0.5, 3.0, -3.0, 1e6]))
+        centre = plain + off * max(w, 1e-3)  # off != 0: the guess misses lambda_k
+        for bounds in ((centre - w, centre + w), (centre + w, centre - w)):
+            assert kernels.eigenvalue_indexed(d, e, k, bounds=bounds) == plain
+
+    def test_guesses_by_kind(self):
+        rng = np.random.default_rng(29)
+        d, e = random_tridiag(rng, 60)
+        for k in (0, 17, 59):
+            plain = kernels.eigenvalue_indexed(d, e, k)
+            guesses = {
+                "correct": (plain - 1e-9, plain + 1e-9),
+                "loose": (plain - 50.0, plain + 50.0),
+                "zero-width": (plain, plain),
+                "above": (plain + 0.1, plain + 0.2),
+                "below": (plain - 0.2, plain - 0.1),
+                "outside the enclosure": (1e9, 1e9 + 1.0),
+                "not finite": (float("nan"), 0.0),
+            }
+            for kind, bounds in guesses.items():
+                assert kernels.eigenvalue_indexed(d, e, k, bounds=bounds) == plain, kind
+
+    def test_good_guess_saves_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        d, e = random_tridiag(rng, 200)
+        plain = kernels.eigenvalue_indexed(d, e, 100)
+        calls = []
+        inner = kernels.count_below
+        monkeypatch.setattr(kernels, "count_below", lambda *a: calls.append(1) or inner(*a))
+        kernels.eigenvalue_indexed(d, e, 100)
+        unguided = len(calls)
+        calls.clear()
+        kernels.eigenvalue_indexed(d, e, 100, bounds=(plain - 1e-11, plain + 1e-11))
+        assert len(calls) < unguided // 2

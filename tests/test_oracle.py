@@ -8,8 +8,10 @@ import pytest
 
 from kgring import PotentialParams, QuantumNumbers, effective_l, solve_bound_state
 from kgring.errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
+from kgring.kernels import count_below_affine
 from kgring.oracle import (
     GridSpec,
+    _radial_level,
     angular_numeric_lambda,
     ode_residual,
     radial_numeric_energy,
@@ -86,6 +88,73 @@ class TestRadialOracle:
             radial_numeric_energy(coulomb(), -1.0, 0, GridSpec())
         with pytest.raises(DomainError):
             radial_numeric_energy(coulomb(), 2.0, -1, GridSpec())
+
+
+def scanned_radial_level(mass, strength, lam, N, r_max, npts):
+    """Reference crossing search: every one of the 65 edges probed, then bisection."""
+    h = r_max / (npts + 1)
+    r = h * np.arange(1, npts + 1)
+    dbase = np.ascontiguousarray(2.0 / (h * h) + lam / (r * r))
+    dlin = np.ascontiguousarray(-strength / r)
+    off_sq = np.full(npts - 1, 1.0 / h ** 4)
+
+    def below_level(eps):
+        return count_below_affine(dbase, dlin, eps + mass, off_sq, eps * eps - mass * mass) <= N
+
+    edges = np.linspace(-mass * (1.0 - 1e-9), mass * (1.0 - 1e-9), 65)
+    flags = [below_level(float(e)) for e in edges]
+    for i in range(len(edges) - 1):
+        if flags[i] and not flags[i + 1]:
+            a, b = float(edges[i]), float(edges[i + 1])
+            break
+    else:
+        raise NoBoundState("no crossing")
+    for _ in range(100):
+        if b - a <= 1e-14 * mass:
+            break
+        mid = 0.5 * (a + b)
+        if below_level(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+class TestRadialCrossingSearch:
+    """Bisecting the edges by index lands where the eager scan did."""
+
+    @pytest.mark.parametrize("factor", [1, 2])  # halved and full coupling
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_matches_eager_scan(self, N, factor):
+        outcomes = []
+        for lam in (0.0, 2.0, 2.1479):
+            for r_max in (400.0, 40.0, 4.0):
+                args = (1.0, factor * 0.2, lam, N, r_max, 300)
+                try:
+                    want = scanned_radial_level(*args)
+                except NoBoundState:
+                    with pytest.raises(NoBoundState):
+                        _radial_level(*args)
+                    outcomes.append("raise")
+                    continue
+                assert _radial_level(*args) == want
+                guesses = ((want, want), (want - 1e-4, want + 1e-4), (want + 1e-3, want + 2e-3),
+                           (-1.0, 1.0), (want - 5.0, want - 4.0))
+                for bounds in guesses:
+                    assert _radial_level(*args, bounds=bounds) == want
+                outcomes.append("level")
+        assert {"raise", "level"} <= set(outcomes)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 0.2, 2.0, 2, 4.0, 300),  # box too small: no edge binds level 2
+        (1.0, 1e9, 0.0, 0, 40.0, 300),  # even the edge at -mass binds level 0
+    ])
+    def test_no_crossing_raises_with_any_guess(self, args):
+        with pytest.raises(NoBoundState):
+            scanned_radial_level(*args)
+        for bounds in (None, (0.0, 0.0), (-1.0, 1.0), (0.99, 0.999), (-0.999, -0.99)):
+            with pytest.raises(NoBoundState):
+                _radial_level(*args, bounds=bounds)
 
 
 class TestAngularOracle:
