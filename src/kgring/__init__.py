@@ -63,12 +63,10 @@ from .oracle import (
 )
 from .polynomials import Poly, format_poly, perfect_square_root, quad_discriminant
 from .special import (
-    QuadKind,
     QuadratureRule,
     jacobi_poly,
     laguerre_assoc,
     log_gamma,
-    quadrature,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +88,6 @@ __all__ = [
     "GridSpec", "angular_numeric_lambda", "ode_residual",
     "radial_numeric_energy",
     "Poly", "format_poly", "perfect_square_root", "quad_discriminant",
-    "QuadKind", "QuadratureRule", "jacobi_poly", "laguerre_assoc",
-    "log_gamma", "quadrature",
+    "QuadratureRule", "jacobi_poly", "laguerre_assoc", "log_gamma",
     "__version__",
 ]

@@ -2,8 +2,9 @@
 """Compiled Sturm pivot counting for symmetric tridiagonal matrices.
 
 Semantics are defined by the pure-Python mirror in _sturm_py.py; keep the two
-in lockstep. The inputs are contiguous float64 buffers (off_sq holds the
-squared off-diagonal).
+in lockstep (tests/test_kernels.py checks that both define the same public
+functions). The one function, count_below, takes contiguous float64 buffers
+(off_sq holds the squared off-diagonal).
 """
 
 _PIVMIN = 1e-290
@@ -21,25 +22,6 @@ def count_below(double[::1] diag, double[::1] off_sq, double x):
     with nogil:
         for i in range(1, n):
             q = diag[i] - x - off_sq[i - 1] / q
-            if -PIVMIN < q < PIVMIN:
-                q = -PIVMIN
-            if q < 0.0:
-                count += 1
-    return count
-
-
-def count_below_affine(double[::1] diag_base, double[::1] diag_lin, double c,
-                       double[::1] off_sq, double x):
-    cdef Py_ssize_t i, n = diag_base.shape[0]
-    cdef int count = 0
-    cdef double q = diag_base[0] + c * diag_lin[0] - x
-    if -PIVMIN < q < PIVMIN:
-        q = -PIVMIN
-    if q < 0.0:
-        count = 1
-    with nogil:
-        for i in range(1, n):
-            q = diag_base[i] + c * diag_lin[i] - x - off_sq[i - 1] / q
             if -PIVMIN < q < PIVMIN:
                 q = -PIVMIN
             if q < 0.0:

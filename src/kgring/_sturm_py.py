@@ -9,7 +9,8 @@ an eigenvalue, which the bisection drivers tolerate by construction.
 
 The shifted diagonal t = d - x is formed in numpy (the same IEEE operations,
 in the same order, as the scalar expression), so the Python loop is left with
-one division, one subtraction and one comparison per positive pivot.
+one division, one subtraction and one comparison per positive pivot. Callers
+whose diagonal depends on a parameter form it in numpy before the call.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ import numpy as np
 _PIVMIN = 1e-290
 
 
-def _negative_pivots(t, off_sq) -> int:
-    it = iter(t.tolist())
+def count_below(diag, off_sq, x) -> int:
+    it = iter((np.asarray(diag, dtype=float) - x).tolist())
     q = next(it)
     count = 0
     if q < _PIVMIN:
@@ -32,13 +33,3 @@ def _negative_pivots(t, off_sq) -> int:
                 q = -_PIVMIN
             count += 1
     return count
-
-
-def count_below(diag, off_sq, x) -> int:
-    return _negative_pivots(np.asarray(diag, dtype=float) - x, off_sq)
-
-
-def count_below_affine(diag_base, diag_lin, c, off_sq, x) -> int:
-    """Same count for T(c) with diagonal diag_base + c*diag_lin."""
-    t = (np.asarray(diag_base, dtype=float) + c * np.asarray(diag_lin, dtype=float)) - x
-    return _negative_pivots(t, off_sq)

@@ -18,9 +18,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
 
@@ -104,24 +102,6 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
-def _sweep(fn, items):
-    """Evaluate fn over items, possibly concurrently, output order fixed."""
-    raw = os.environ.get("KG_THREADS", "")
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise DomainError(f"KG_THREADS must be an integer, got {raw!r}")
-        if workers < 1:
-            raise DomainError(f"KG_THREADS must be >= 1, got {workers}")
-    else:
-        workers = os.cpu_count() or 1
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as ex:
-        return list(ex.map(fn, items))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -201,8 +181,7 @@ def _rows(args, record):
     """record(N, n, m) over the quantum-number grid, in fixed row order.
 
     A row depends on m only through m^2 and |m|, so each distinct (N, n, |m|)
-    is evaluated once (concurrently, see `_sweep`) and the -m row is the +m
-    record with its m field set.
+    is evaluated once and the -m row is the +m record with its m field set.
     """
     rows = [
         (N, n, m)
@@ -210,8 +189,8 @@ def _rows(args, record):
         for n in range(args.nmax + 1)
         for m in range(-args.mmax, args.mmax + 1)
     ]
-    keys = list(dict.fromkeys((N, n, abs(m)) for N, n, m in rows))
-    done = dict(zip(keys, _sweep(lambda t: record(*t), keys)))
+    keys = dict.fromkeys((N, n, abs(m)) for N, n, m in rows)
+    done = {key: record(*key) for key in keys}
     return [{**done[(N, n, abs(m))], "m": m} for N, n, m in rows]
 
 
@@ -247,8 +226,8 @@ def cmd_spectrum(args) -> int:
 def cmd_wavefunction(args) -> int:
     if args.samples < 2:
         raise DomainError(f"--samples must be >= 2, got {args.samples}")
-    if args.rmax is not None and not args.rmax > 0.0:
-        raise DomainError(f"--rmax must be positive, got {args.rmax}")
+    if args.rmax is not None and not 0.0 < args.rmax < math.inf:
+        raise DomainError(f"--rmax must be positive and finite, got {args.rmax}")
     params = _build_params(args)
     st = solve_bound_state(params, QuantumNumbers(args.N, args.n, args.m),
                            tol=args.tol, max_iter=args.max_iter)
@@ -350,6 +329,8 @@ def _verify_record(params, N, n, m, args, grid) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 < args.vtol < math.inf:
+        raise DomainError(f"--vtol must be positive and finite, got {args.vtol}")
     params = _build_params(args)
     grid = GridSpec(points=args.points, refinement=args.refine)
     records = _rows(args, partial(_verify_record, params, args=args, grid=grid))

@@ -1,11 +1,10 @@
 """Backend dispatch for the hot tridiagonal kernels.
 
 The compiled extension is preferred; the pure-Python mirror is the fallback
-and can be forced with KGRING_PURE_PYTHON=1 (checked once, at import). Both
-expose the same two functions with identical semantics:
+and can be forced with KGRING_PURE_PYTHON=1 (checked once, at import). Each
+backend exposes one function, with identical semantics:
 
-    count_below(diag, off_sq, x)                 -> #eigenvalues < x
-    count_below_affine(dbase, dlin, c, off_sq, x)-> same for diag = dbase + c*dlin
+    count_below(diag, off_sq, x) -> #eigenvalues < x
 
 Arrays must be contiguous float64 (the compiled kernel is typed; use
 `as_kernel_array`). The bisection drivers below are shared by both backends:
@@ -40,7 +39,6 @@ else:
         BACKEND = "python"
 
 count_below = _impl.count_below
-count_below_affine = _impl.count_below_affine
 
 
 def as_kernel_array(a) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
-from .kernels import as_kernel_array, bisect, count_below_affine, eigenvalue_indexed, within_bounds
+from .kernels import as_kernel_array, bisect, count_below, eigenvalue_indexed, within_bounds
 
 if TYPE_CHECKING:  # only the parameter bundle's attributes are used
     from .bound_states import PotentialParams
@@ -154,8 +154,8 @@ def _radial_level(
 ) -> float:
     h = r_max / (npts + 1)
     r = h * np.arange(1, npts + 1)
-    dbase = as_kernel_array(2.0 / (h * h) + lam / (r * r))
-    dlin = as_kernel_array(-strength / r)
+    dbase = 2.0 / (h * h) + lam / (r * r)
+    dlin = -strength / r
     off_sq = as_kernel_array(np.full(npts - 1, 1.0 / h ** 4))
 
     def below_level(eps: float) -> bool:
@@ -163,7 +163,7 @@ def _radial_level(
         # sits above the target eps^2 - mass^2 exactly while eps is below
         # the true level
         target = eps * eps - mass * mass
-        return count_below_affine(dbase, dlin, eps + mass, off_sq, target) <= N
+        return count_below(dbase + (eps + mass) * dlin, off_sq, target) <= N
 
     edges = np.linspace(-mass * (1.0 - 1e-9), mass * (1.0 - 1e-9), 65).tolist()
     below = below_level

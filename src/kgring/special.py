@@ -15,7 +15,6 @@ order 512 where L_j itself would overflow.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,14 +130,8 @@ def log_gamma(x) -> float:
     return math.lgamma(xf)
 
 
-class QuadKind(enum.Enum):
-    GAUSS_LEGENDRE = "gauss_legendre"
-    GAUSS_LAGUERRE_SCALED = "gauss_laguerre_scaled"
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    kind: QuadKind
     order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -182,7 +175,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     _, dp = _legendre_pair(order, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order_idx = np.argsort(x)
-    return QuadratureRule(QuadKind.GAUSS_LEGENDRE, order, x[order_idx], w[order_idx])
+    return QuadratureRule(order, x[order_idx], w[order_idx])
 
 
 _LN_RENORM = 250.0 * math.log(10.0)
@@ -241,13 +234,5 @@ def gauss_laguerre_scaled(order: int, scale: float) -> QuadratureRule:
     w = np.exp(ln_w)
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise NoConvergence("Laguerre weights are not finite positive")
-    return QuadratureRule(QuadKind.GAUSS_LAGUERRE_SCALED, order, t / s, w)
+    return QuadratureRule(order, t / s, w)
 
-
-def quadrature(kind: QuadKind, order: int, scale: float = 1.0) -> QuadratureRule:
-    """Uniform entry point; `scale` only applies to the Laguerre rule."""
-    if kind is QuadKind.GAUSS_LEGENDRE:
-        return gauss_legendre(order)
-    if kind is QuadKind.GAUSS_LAGUERRE_SCALED:
-        return gauss_laguerre_scaled(order, scale)
-    raise DomainError(f"unknown quadrature kind {kind!r}")

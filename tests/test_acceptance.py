@@ -22,7 +22,6 @@ from kgring import (
     Coupling,
     GridSpec,
     PotentialParams,
-    QuadKind,
     QuantumNumbers,
     QuadratureRule,
     angular_mode,
@@ -31,7 +30,6 @@ from kgring import (
     angular_wavefunction,
     nonrel_limit_check,
     ode_residual,
-    quadrature,
     radial_mode,
     radial_numeric_energy,
     radial_nu_problem,
@@ -39,6 +37,7 @@ from kgring import (
     solution_chain,
     solve_bound_state,
 )
+from kgring.special import gauss_laguerre_scaled
 
 GOLDEN = Path(__file__).parent / "golden"
 RING = PotentialParams(alpha=0.2, beta=0.05, gamma=0.02, mass=1.0)
@@ -188,13 +187,12 @@ def test_criterion_3_angular_oracle():
 
 def _rescaled_laguerre(base: QuadratureRule, scale: float) -> QuadratureRule:
     # nodes t/s, weights w/s: one Jacobi-matrix solve serves every scale
-    return QuadratureRule(QuadKind.GAUSS_LAGUERRE_SCALED, base.order,
-                          base.nodes / scale, base.weights / scale)
+    return QuadratureRule(base.order, base.nodes / scale, base.weights / scale)
 
 
 def test_criterion_4_norms_and_orthogonality():
     t0 = time.perf_counter()
-    base = quadrature(QuadKind.GAUSS_LAGUERRE_SCALED, 400)
+    base = gauss_laguerre_scaled(400, 1.0)
     worst_norm = 0.0
     for N, n, m in itertools.product(range(4), range(4), range(-2, 3)):
         st = solve_bound_state(RING, QuantumNumbers(N, n, m))

@@ -11,7 +11,6 @@ from kgring import (
     NoBoundState,
     NoConvergence,
     PotentialParams,
-    QuadKind,
     QuantumNumbers,
     UnboundEnergy,
     angular_mode,
@@ -20,7 +19,6 @@ from kgring import (
     effective_l,
     nonrel_limit_check,
     potential_value,
-    quadrature,
     radial_energy,
     radial_mode,
     radial_nu_problem,
@@ -28,6 +26,7 @@ from kgring import (
     solve_bound_state,
 )
 from kgring.nu import quantize, solution_chain
+from kgring.special import gauss_laguerre_scaled, gauss_legendre
 
 F = Fraction
 
@@ -220,7 +219,7 @@ class TestWavefunctions:
 
     def test_radial_norm(self):
         st = self.state(N=2)
-        rule = quadrature(QuadKind.GAUSS_LAGUERRE_SCALED, 300, scale=2.0 * st.kappa)
+        rule = gauss_laguerre_scaled(300, 2.0 * st.kappa)
         total = rule.integrate(lambda r: radial_wavefunction(st, r) ** 2)
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -235,7 +234,7 @@ class TestWavefunctions:
 
     def test_angular_norm(self):
         st = self.state(n=2)
-        rule = quadrature(QuadKind.GAUSS_LEGENDRE, 400)
+        rule = gauss_legendre(400)
         total = rule.integrate(lambda x: angular_wavefunction(st, x) ** 2)
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -279,7 +278,7 @@ class TestWavefunctions:
             states.append((N, kap))
         for (N1, k1) in states:
             for (N2, k2) in states:
-                rule = quadrature(QuadKind.GAUSS_LAGUERRE_SCALED, 220, scale=k1 + k2)
+                rule = gauss_laguerre_scaled(220, k1 + k2)
                 val = rule.integrate(
                     lambda r: radial_mode(N1, l_eff, k1, r) * radial_mode(N2, l_eff, k2, r)
                 )
@@ -288,7 +287,7 @@ class TestWavefunctions:
 
     def test_angular_mode_orthogonality_fixed_bc(self):
         B, C = 1.5, 0.5  # integer Jacobi exponents: quadrature is exact
-        rule = quadrature(QuadKind.GAUSS_LEGENDRE, 60)
+        rule = gauss_legendre(60)
         for n1 in range(3):
             for n2 in range(3):
                 val = rule.integrate(

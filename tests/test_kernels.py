@@ -1,8 +1,11 @@
 """Sturm-count kernels against dense linear algebra, both backends."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ def loop_count_below(diag, off_sq, x):
 
 
 def loop_count_below_affine(diag_base, diag_lin, c, off_sq, x):
+    """The scalar loop for diagonal diag_base + c*diag_lin, the oracle's radial shape."""
     db, dl, e2 = list(diag_base), list(diag_lin), list(off_sq)
     q = db[0] + c * dl[0] - x
     if -pure._PIVMIN < q < pure._PIVMIN:
@@ -84,9 +88,7 @@ class TestCountBelow:
         e2 = e * e
         for c in (-1.5, 0.0, 0.7, 3.0):
             for x in (-2.0, 0.0, 1.0):
-                direct = mod.count_below(d0 + c * d1, e2, x)
-                affine = mod.count_below_affine(d0, d1, c, e2, x)
-                assert direct == affine
+                assert mod.count_below(d0 + c * d1, e2, x) == loop_count_below_affine(d0, d1, c, e2, x)
 
     def test_single_row(self, name, mod):
         assert mod.count_below(np.array([2.0]), np.zeros(0), 1.0) == 0
@@ -109,6 +111,15 @@ class TestBackendsAgree:
             assert kernels.count_below(d, e2, float(x)) == pure.count_below(
                 list(d), list(e2), float(x)
             )
+
+    def test_compiled_source_mirrors_pure(self):
+        # the compiled module exists only where the package was built with
+        # Cython, so compare the sources: one def per public pure function
+        pyx = Path(pure.__file__).with_name("_sturm_cy.pyx").read_text()
+        defs = set(re.findall(r"^def (\w+)\(", pyx, re.MULTILINE))
+        public = {name for name, obj in vars(pure).items()
+                  if inspect.isfunction(obj) and not name.startswith("_")}
+        assert defs == public == {"count_below"}
 
     def test_backend_reported(self):
         assert kernels.BACKEND in ("compiled", "python")
@@ -200,10 +211,11 @@ class TestLoopEquivalence:
         dl, e2, as_list = tri
         db = [tiny * v for v in data.draw(st.lists(finite, min_size=len(dl), max_size=len(dl)))]
         shifted = [b + c * v for b, v in zip(db, dl)]
+        # the diagonal formed in numpy, as the oracle's radial level forms it
+        diag = np.asarray(db) + c * np.asarray(dl)
         for xv in (x, _on_eigenvalue(data.draw, shifted, e2)):
             for name, mod in BACKENDS:
-                got = mod.count_below_affine(_shape(db, as_list, mod), _shape(dl, as_list, mod), c,
-                                             _shape(e2, as_list, mod), xv)
+                got = mod.count_below(_shape(diag, as_list, mod), _shape(e2, as_list, mod), xv)
                 assert got == loop_count_below_affine(db, dl, c, e2, xv), name
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from kgring import PotentialParams, QuantumNumbers, effective_l, solve_bound_state
 from kgring.errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
-from kgring.kernels import count_below_affine
+from kgring.kernels import count_below
 from kgring.oracle import (
     GridSpec,
     _radial_level,
@@ -99,7 +99,7 @@ def scanned_radial_level(mass, strength, lam, N, r_max, npts):
     off_sq = np.full(npts - 1, 1.0 / h ** 4)
 
     def below_level(eps):
-        return count_below_affine(dbase, dlin, eps + mass, off_sq, eps * eps - mass * mass) <= N
+        return count_below(dbase + (eps + mass) * dlin, off_sq, eps * eps - mass * mass) <= N
 
     edges = np.linspace(-mass * (1.0 - 1e-9), mass * (1.0 - 1e-9), 65)
     flags = [below_level(float(e)) for e in edges]

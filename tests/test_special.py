@@ -6,7 +6,6 @@ import pytest
 
 from kgring.errors import DomainError
 from kgring.special import (
-    QuadKind,
     gauss_laguerre_scaled,
     gauss_legendre,
     jacobi_poly,
@@ -14,7 +13,6 @@ from kgring.special import (
     laguerre_assoc,
     laguerre_rodrigues,
     log_gamma,
-    quadrature,
 )
 
 F = Fraction
@@ -162,16 +160,11 @@ class TestGaussLaguerreScaled:
 
 
 class TestQuadratureEntry:
-    def test_dispatch(self):
-        assert quadrature(QuadKind.GAUSS_LEGENDRE, 4).kind is QuadKind.GAUSS_LEGENDRE
-        rule = quadrature(QuadKind.GAUSS_LAGUERRE_SCALED, 4, scale=3.0)
-        assert rule.kind is QuadKind.GAUSS_LAGUERRE_SCALED
-
     def test_order_guard(self):
         with pytest.raises(DomainError):
-            quadrature(QuadKind.GAUSS_LEGENDRE, 0)
+            gauss_legendre(0)
         with pytest.raises(DomainError):
-            quadrature(QuadKind.GAUSS_LEGENDRE, 513)
+            gauss_legendre(513)
 
     def test_nodes_cross_check_tridiagonal(self):
         # dual route: Legendre nodes are the eigenvalues of the Jacobi matrix
