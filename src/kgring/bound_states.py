@@ -67,6 +67,11 @@ class PotentialParams:
     coupling: Coupling = Coupling.HALVED
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "mass"):
+            v = getattr(self, name)
+            # ints and Fractions are finite, and float() of a huge one overflows
+            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v}")
         if not float(self.mass) > 0.0:
             raise DomainError(f"mass must be positive, got {self.mass}")
 
@@ -153,8 +158,9 @@ def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularS
         raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {gamma_eff}")
     u = _maybe_sqrt(mm * mm - gamma_eff * gamma_eff)
     B = _maybe_sqrt((mm + u) / 2)
-    # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u
-    C = gabs / (2 * B) if gabs != 0 else B * 0
+    # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
+    # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0
+    C = gabs / (2 * B) if gabs != 0 and B != 0 else B * 0
     return AngularSolution(
         m=m, n=n, beta_eff=beta_eff, gamma_eff=gamma_eff, u=u, B=B, C=C, l_eff=B + n
     )
@@ -253,6 +259,33 @@ class BoundState:
         return math.exp(_angular_log_norm(self.numbers.n, float(self.angular.B), float(self.angular.C)))
 
 
+def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
+                     factor: int, strength: float, mass: float):
+    """The solver's eps -> g(eps) on floats.
+
+    The same IEEE operations, in the same order, as
+    float(radial_energy(N, effective_l(m, c beta, c gamma, n).l_eff, strength,
+    mass)) with c = factor (eps + mass), and ComplexU on the same inputs;
+    only the argument checks, the exact-root probes and the AngularSolution
+    are left out.
+    """
+    mm0 = m * m
+    q = strength * strength / 4
+
+    def g(eps: float) -> float:
+        c = factor * (eps + mass)
+        mm = mm0 + c * beta
+        ge = c * gamma
+        if mm < abs(ge):
+            raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {ge}")
+        u = math.sqrt(mm * mm - ge * ge)
+        npr = N + (math.sqrt((mm + u) / 2) + n) + 1
+        npr2 = npr * npr
+        return mass * (npr2 - q) / (npr2 + q)
+
+    return g
+
+
 def solve_bound_state(
     params: PotentialParams,
     numbers: QuantumNumbers,
@@ -263,10 +296,15 @@ def solve_bound_state(
 
     With beta = gamma = 0 the polar data is energy-free and the closed form
     is final after a single evaluation. Otherwise a damped fixed-point
-    iteration on eps -> radial_energy(N, l_eff(eps), ...) runs first, and a
-    bisection on eps - g(eps) over the feasible energy window finishes the
-    job if damping alone stalls. `residual` is |eps - g(eps)| at the result;
-    convergence means residual <= tol * mass.
+    iteration on eps -> g(eps) = radial_energy(N, l_eff(eps), ...) runs
+    first, and a bisection on eps - g(eps) over the feasible energy window
+    finishes the job if damping alone stalls. `residual` is |eps - g(eps)|
+    at the result; convergence means residual <= tol * mass.
+
+    g is evaluated by `_fixed_point_map`, a float-only copy of
+    `effective_l` followed by `radial_energy` (bit for bit the same value),
+    so the loop builds no `AngularSolution`; the state's one is built by
+    `effective_l` at the accepted energy.
     """
     if not (isinstance(max_iter, int) and max_iter >= 2):
         raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
@@ -285,10 +323,12 @@ def solve_bound_state(
         eps = float(radial_energy(N, ang.l_eff, strength, mass))
         return BoundState(params, numbers, eps, ang, iterations=1, converged=True, residual=0.0)
 
-    def step(eps: float):
+    g = _fixed_point_map(N, n, m, beta, gamma, factor, strength, mass)
+
+    def state(eps: float, evals: int, residual: float) -> BoundState:
         c = factor * (eps + mass)
         ang = effective_l(m, c * beta, c * gamma, n)
-        return float(radial_energy(N, ang.l_eff, strength, mass)), ang
+        return BoundState(params, numbers, eps, ang, evals, True, residual)
 
     # feasibility: c(eps) * (|gamma| - beta) <= m^2 bounds eps from above
     lo = -mass * (1.0 - 1e-9)
@@ -306,20 +346,19 @@ def solve_bound_state(
     eps = min(max(eps, lo), hi)
 
     evals = 0
-    ang = None
     for _ in range(max_iter // 2):
-        g, ang = step(eps)
+        g_eps = g(eps)
         evals += 1
-        residual = abs(eps - g)
+        residual = abs(eps - g_eps)
         if residual <= tol * mass:
-            return BoundState(params, numbers, eps, ang, evals, True, residual)
-        eps = min(max(eps + 0.5 * (g - eps), lo), hi)
+            return state(eps, evals, residual)
+        eps = min(max(eps + 0.5 * (g_eps - eps), lo), hi)
 
     # h(eps) = eps - g(eps) is negative at the bottom of the window and
     # positive at a solvable top; bisect the sign change
     a, b = lo, hi
-    ha = a - step(a)[0]
-    hb = b - step(b)[0]
+    ha = a - g(a)
+    hb = b - g(b)
     evals += 2
     if ha >= 0.0:
         raise NoBoundState(f"no self-consistent level in the window for {numbers}")
@@ -327,19 +366,19 @@ def solve_bound_state(
         raise ComplexU("self-consistent energy runs out of the real-ring-strength window")
     while evals < max_iter:
         mid = 0.5 * (a + b)
-        g, ang = step(mid)
+        g_mid = g(mid)
         evals += 1
-        residual = abs(mid - g)
+        residual = abs(mid - g_mid)
         if residual <= tol * mass:
-            return BoundState(params, numbers, mid, ang, evals, True, residual)
-        if mid - g < 0.0:
+            return state(mid, evals, residual)
+        if mid - g_mid < 0.0:
             a = mid
         else:
             b = mid
         if b - a <= 1e-17 * mass:
             break
     raise NoConvergence(
-        f"residual {abs(0.5 * (a + b) - step(0.5 * (a + b))[0]):.3e} after {evals} evaluations"
+        f"residual {abs(0.5 * (a + b) - g(0.5 * (a + b))):.3e} after {evals} evaluations"
     )
 
 

@@ -177,6 +177,14 @@ def _build_params(args) -> PotentialParams:
     )
 
 
+def _check_solver_options(args) -> None:
+    """Reject what solve_bound_state would reject on every row, once, up front."""
+    if not args.tol > 0.0:
+        raise DomainError(f"--tol must be positive, got {args.tol}")
+    if args.max_iter < 2:
+        raise DomainError(f"--max-iter must be >= 2, got {args.max_iter}")
+
+
 def _rows(args, record):
     """record(N, n, m) over the quantum-number grid, in fixed row order.
 
@@ -212,6 +220,7 @@ def _spectrum_record(params, N, n, m, tol, max_iter) -> dict:
 
 
 def cmd_spectrum(args) -> int:
+    _check_solver_options(args)
     params = _build_params(args)
     records = _rows(args, partial(_spectrum_record, params, tol=args.tol, max_iter=args.max_iter))
     text = (_emit_csv(records, SPECTRUM_FIELDS) if args.format == "csv"
@@ -331,6 +340,7 @@ def _verify_record(params, N, n, m, args, grid) -> dict:
 def cmd_verify(args) -> int:
     if not 0.0 < args.vtol < math.inf:
         raise DomainError(f"--vtol must be positive and finite, got {args.vtol}")
+    _check_solver_options(args)
     params = _build_params(args)
     grid = GridSpec(points=args.points, refinement=args.refine)
     records = _rows(args, partial(_verify_record, params, args=args, grid=grid))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgring import (
     ComplexU,
@@ -25,6 +26,7 @@ from kgring import (
     radial_wavefunction,
     solve_bound_state,
 )
+from kgring.bound_states import _fixed_point_map
 from kgring.nu import quantize, solution_chain
 from kgring.special import gauss_laguerre_scaled, gauss_legendre
 
@@ -42,6 +44,18 @@ class TestParams:
         q = PotentialParams(alpha=0.1, beta=0.0, gamma=0.0, mass=1.0, coupling=Coupling.FULL)
         assert q.coupling_factor == 2
         assert q.energy_coupling(0.5) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "mass"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan")])
+    def test_non_finite_guard(self, name, value):
+        kwargs = {"alpha": 0.2, "beta": 0.05, "gamma": 0.02, "mass": 1.0, name: value}
+        with pytest.raises(DomainError, match=name):
+            PotentialParams(**kwargs)
+
+    def test_huge_exact_values_accepted(self):
+        # a Fraction is finite however large; the guard must not float() it
+        p = PotentialParams(alpha=F(10) ** 400, beta=-(F(10) ** 400), gamma=10**400, mass=1)
+        assert p.gamma == 10**400
 
     def test_quantum_number_guards(self):
         with pytest.raises(DomainError):
@@ -84,6 +98,14 @@ class TestEffectiveL:
         assert ang.B == 2 and ang.C == 0
         assert ang.l_eff == 3
         assert ang.separation_lambda == 12
+
+    def test_subnormal_strengths(self):
+        # (mm + u)/2 underflows to B = 0 with gamma_eff != 0: C = 0, not a
+        # ZeroDivisionError
+        tiny = 5e-324
+        for gamma_eff in (tiny, -tiny):
+            ang = effective_l(0, tiny, gamma_eff, 1)
+            assert (ang.B, ang.C, ang.l_eff) == (0.0, 0.0, 1.0)
 
     def test_negative_gamma_same_l(self):
         a = effective_l(1, F(4), F(4), 0)
@@ -206,6 +228,166 @@ class TestSolveBoundState:
         chain = solution_chain(prob)
         want = quantize(prob, chain.branch, 2)
         assert float(chain.branch.lambda_bar) == pytest.approx(float(want), rel=1e-9)
+
+
+def loop_solve_bound_state(params, numbers, tol=1e-12, max_iter=200):
+    """The solver as it was written on the exact-arithmetic track: every
+    evaluation goes through effective_l and radial_energy and keeps the
+    AngularSolution it built. The reference the float map must match bit for bit."""
+    if not (isinstance(max_iter, int) and max_iter >= 2):
+        raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
+    if not float(tol) > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    mass = float(params.mass)
+    factor = params.coupling_factor
+    strength = factor * abs(float(params.alpha))
+    if strength == 0.0:
+        raise NoBoundState("alpha = 0: nothing binds radially")
+    N, n, m = numbers.N, numbers.n, numbers.m
+    beta, gamma = float(params.beta), float(params.gamma)
+    if beta == 0.0 and gamma == 0.0:
+        ang = effective_l(m, 0, 0, n)
+        eps = float(radial_energy(N, ang.l_eff, strength, mass))
+        return eps, ang, 1, 0.0
+
+    def step(eps):
+        c = factor * (eps + mass)
+        ang = effective_l(m, c * beta, c * gamma, n)
+        return float(radial_energy(N, ang.l_eff, strength, mass)), ang
+
+    lo = -mass * (1.0 - 1e-9)
+    hi = mass
+    need = abs(gamma) - beta
+    if need > 0.0:
+        hi = min(hi, (m * m) / (factor * need) - mass)
+        if hi <= lo:
+            raise ComplexU("no energy in (-mass, mass) keeps m^2 + beta_eff >= |gamma_eff|")
+    guess = N + abs(m) + n + 1.0
+    eps = mass * (1.0 - strength * strength / (2.0 * guess * guess))
+    eps = min(max(eps, lo), hi)
+    evals = 0
+    for _ in range(max_iter // 2):
+        g, ang = step(eps)
+        evals += 1
+        residual = abs(eps - g)
+        if residual <= tol * mass:
+            return eps, ang, evals, residual
+        eps = min(max(eps + 0.5 * (g - eps), lo), hi)
+    a, b = lo, hi
+    ha = a - step(a)[0]
+    hb = b - step(b)[0]
+    evals += 2
+    if ha >= 0.0:
+        raise NoBoundState(f"no self-consistent level in the window for {numbers}")
+    if hb < 0.0:
+        raise ComplexU("self-consistent energy runs out of the real-ring-strength window")
+    while evals < max_iter:
+        mid = 0.5 * (a + b)
+        g, ang = step(mid)
+        evals += 1
+        residual = abs(mid - g)
+        if residual <= tol * mass:
+            return mid, ang, evals, residual
+        if mid - g < 0.0:
+            a = mid
+        else:
+            b = mid
+        if b - a <= 1e-17 * mass:
+            break
+    raise NoConvergence(
+        f"residual {abs(0.5 * (a + b) - step(0.5 * (a + b))[0]):.3e} after {evals} evaluations"
+    )
+
+
+def outcome(solve, params, numbers, tol, max_iter):
+    """(energy, angular, iterations, residual), or the error's type and text."""
+    try:
+        got = solve(params, numbers, tol=tol, max_iter=max_iter)
+    except (ComplexU, NoBoundState, NoConvergence) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        return got
+    assert got.converged
+    return got.energy, got.angular, got.iterations, got.residual
+
+
+def assert_map_matches(N, n, m, beta, gamma, factor, strength, mass, eps):
+    """The float map returns == the exact track's value, or raises ComplexU with it."""
+    g = _fixed_point_map(N, n, m, beta, gamma, factor, strength, mass)
+    c = factor * (eps + mass)
+    try:
+        ang = effective_l(m, c * beta, c * gamma, n)
+    except ComplexU:
+        with pytest.raises(ComplexU):
+            g(eps)
+        return
+    assert g(eps) == float(radial_energy(N, ang.l_eff, strength, mass))
+
+
+class TestFloatFixedPointMap:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        N=st.integers(0, 8), n=st.integers(0, 8), m=st.integers(-6, 6),
+        beta=st.floats(-3.0, 3.0), gamma=st.floats(-4.0, 4.0),
+        factor=st.sampled_from([1, 2]), strength=st.floats(1e-6, 6.0),
+        mass=st.floats(1e-3, 1e3), frac=st.floats(-1.0, 1.0),
+    )
+    def test_matches_exact_track(self, N, n, m, beta, gamma, factor, strength, mass, frac):
+        assert_map_matches(N, n, m, beta, gamma, factor, strength, mass, frac * mass)
+
+    def test_matches_exact_track_seeded_sweep(self):
+        # a last-bit slip (say, reassociating N + (B + n) + 1) shows on about
+        # one input in a hundred, which shrunk hypothesis draws rarely reach
+        rng = np.random.default_rng(5)
+        for _ in range(20000):
+            N, n, m = (int(v) for v in rng.integers([0, 0, -6], [9, 9, 7]))
+            beta, gamma = rng.uniform(-3.0, 3.0), rng.uniform(-4.0, 4.0)
+            factor, strength, mass = int(rng.integers(1, 3)), rng.uniform(0.0, 6.0), rng.uniform(0.1, 10.0)
+            assert_map_matches(N, n, m, beta, gamma, factor, strength, mass, rng.uniform(-1, 1) * mass)
+
+
+class TestSolveMatchesLoop:
+    CASES = [
+        # alpha, beta, gamma, coupling, tol, max_iter, (N, n, m), branch
+        (0.2, 0.05, 0.02, Coupling.HALVED, 1e-12, 200, (1, 1, 1), "damped"),
+        (0.2, 0.05, -0.02, Coupling.HALVED, 1e-12, 200, (2, 0, -1), "damped"),
+        (0.7, 0.4, 0.9, Coupling.FULL, 1e-12, 200, (0, 2, 2), "damped"),
+        (1.3, 0.4, -0.3, Coupling.FULL, 1e-14, 200, (2, 1, 1), "damped"),
+        (1.3, -0.1, -0.3, Coupling.FULL, 1e-14, 200, (2, 1, 1), ComplexU),  # window edge
+        (0.2, 0.4, 0.02, Coupling.FULL, 1e-4, 20, (0, 0, 0), "bisect"),
+        (1.9, 0.05, -0.3, Coupling.FULL, 1e-4, 10, (0, 2, 2), "bisect"),
+        (1.9, 0.4, -0.3, Coupling.FULL, 1e-4, 20, (0, 2, 2), "bisect"),
+        (0.2, 0.05, 0.02, Coupling.HALVED, 1e-12, 6, (0, 0, 0), NoConvergence),
+        (0.2, 0.05, -0.3, Coupling.HALVED, 1e-12, 200, (0, 0, 0), ComplexU),
+        (0.2, 0.0, 0.0, Coupling.FULL, 1e-12, 200, (1, 0, 1), "closed"),
+    ]
+
+    @pytest.mark.parametrize("alpha,beta,gamma,coupling,tol,max_iter,qn,branch", CASES)
+    def test_cases(self, alpha, beta, gamma, coupling, tol, max_iter, qn, branch):
+        params = PotentialParams(alpha, beta, gamma, 1.0, coupling)
+        numbers = QuantumNumbers(*qn)
+        want = outcome(loop_solve_bound_state, params, numbers, tol, max_iter)
+        got = outcome(solve_bound_state, params, numbers, tol, max_iter)
+        assert got == want
+        if isinstance(branch, type):
+            assert got[0] is branch
+        elif branch == "bisect":
+            assert got[2] > max_iter // 2  # the damped loop alone did not finish
+        elif branch == "damped":
+            assert 2 <= got[2] <= max_iter // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(-2.0, 2.0), beta=st.floats(-0.5, 2.0), gamma=st.floats(-2.0, 2.0),
+        mass=st.floats(0.1, 10.0), coupling=st.sampled_from(list(Coupling)),
+        qn=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
+        tol=st.sampled_from([1e-4, 1e-12, 1e-15]), max_iter=st.sampled_from([2, 6, 20, 200]),
+    )
+    def test_random(self, alpha, beta, gamma, mass, coupling, qn, tol, max_iter):
+        params = PotentialParams(alpha, beta, gamma, mass, coupling)
+        numbers = QuantumNumbers(*qn)
+        want = outcome(loop_solve_bound_state, params, numbers, tol, max_iter)
+        assert outcome(solve_bound_state, params, numbers, tol, max_iter) == want
 
 
 class TestWavefunctions:

@@ -126,6 +126,36 @@ class TestExitCodes:
         assert p.stdout == b""
         assert flag.encode() in p.stderr
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("spectrum", "--tol", "nan"), ("spectrum", "--tol", "0"), ("spectrum", "--tol", "-1e-12"),
+        ("spectrum", "--max-iter", "1"), ("verify", "--tol", "nan"), ("verify", "--max-iter", "0"),
+    ])
+    def test_bad_solver_option(self, command, flag, value):
+        # rejected once, before any row is solved, not one DomainError row per state
+        p = run_cli(command, "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02", "--mass", "1",
+                    "--Nmax", "1", "--mmax", "1", f"{flag}={value}")
+        assert p.returncode == 1
+        assert p.stdout == b""
+        assert flag.encode() in p.stderr
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("spectrum", "--alpha", "inf"), ("spectrum", "--gamma", "-inf"),
+        ("verify", "--beta", "nan"), ("wavefunction", "--mass", "inf"),
+        ("nu", "--alpha", "nan"),
+    ])
+    def test_non_finite_parameter(self, command, flag, value):
+        # a usage error, not a NoConvergence row after the whole iteration budget
+        values = {"--alpha": "0.2", "--beta": "0.05", "--gamma": "0.02", "--mass": "1",
+                  flag: value}
+        pots = [f"{k}={v}" for k, v in values.items()]
+        extra = {"wavefunction": ("--N", "0", "--n", "0", "--m", "0"),
+                 "nu": ("--target", "radial", "--epsilon", "0.5", "--lambda", "2")}
+        cmd = ("nu", "reduce") if command == "nu" else (command,)
+        p = run_cli(*cmd, *pots, *extra.get(command, ()))
+        assert p.returncode == 1
+        assert p.stdout == b""
+        assert flag.lstrip("-").encode() + b" must be finite" in p.stderr
+
     def test_solver_failure_propagates(self):
         # one unbound state: wavefunction has no record to fall back on
         p = run_cli("wavefunction", "--alpha", "0", "--beta", "0", "--gamma", "0",
