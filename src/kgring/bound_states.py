@@ -286,6 +286,24 @@ def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
     return g
 
 
+def check_float_range(params: PotentialParams, numbers: QuantumNumbers) -> None:
+    """DomainError unless the solver's floats stay finite for this level.
+
+    The fixed-point map's intermediates grow with |alpha|, |beta|, |gamma|,
+    N, n, |m| and c(eps) = factor (eps + mass); their values at the top of
+    the window, eps = mass, bound every energy probed and every lower level.
+    """
+    alpha, beta, gamma, mass = map(float, (params.alpha, params.beta, params.gamma, params.mass))
+    strength = params.coupling_factor * alpha
+    q = strength * strength / 4
+    c = 2.0 * params.coupling_factor * mass
+    mm = numbers.m * numbers.m + c * abs(beta)
+    npr = numbers.N + numbers.n + math.sqrt(mm) + 1.0
+    if not all(map(math.isfinite, (q, mm * mm, c * gamma * c * gamma, mass * (npr * npr + q)))):
+        raise DomainError(f"alpha, beta, gamma, mass = {alpha:g}, {beta:g}, {gamma:g}, {mass:g}: "
+                          f"the self-consistent map overflows a float")
+
+
 def solve_bound_state(
     params: PotentialParams,
     numbers: QuantumNumbers,
@@ -321,6 +339,8 @@ def solve_bound_state(
     if beta == 0.0 and gamma == 0.0:
         ang = effective_l(m, 0, 0, n)
         eps = float(radial_energy(N, ang.l_eff, strength, mass))
+        if not math.isfinite(eps):
+            check_float_range(params, numbers)
         return BoundState(params, numbers, eps, ang, iterations=1, converged=True, residual=0.0)
 
     g = _fixed_point_map(N, n, m, beta, gamma, factor, strength, mass)
@@ -377,6 +397,8 @@ def solve_bound_state(
             b = mid
         if b - a <= 1e-17 * mass:
             break
+    # a map that overflows cannot converge: say so, checked off the hot path
+    check_float_range(params, numbers)
     raise NoConvergence(
         f"residual {abs(0.5 * (a + b) - g(0.5 * (a + b))):.3e} after {evals} evaluations"
     )

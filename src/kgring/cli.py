@@ -30,6 +30,7 @@ from .bound_states import (
     QuantumNumbers,
     angular_nu_problem,
     angular_wavefunction,
+    check_float_range,
     radial_nu_problem,
     radial_wavefunction,
     solve_bound_state,
@@ -177,12 +178,14 @@ def _build_params(args) -> PotentialParams:
     )
 
 
-def _check_solver_options(args) -> None:
+def _check_solver_options(args, params) -> None:
     """Reject what solve_bound_state would reject on every row, once, up front."""
     if not args.tol > 0.0:
         raise DomainError(f"--tol must be positive, got {args.tol}")
     if args.max_iter < 2:
         raise DomainError(f"--max-iter must be >= 2, got {args.max_iter}")
+    # the largest level of the grid bounds every row's floats
+    check_float_range(params, QuantumNumbers(args.Nmax, args.nmax, args.mmax))
 
 
 def _rows(args, record):
@@ -220,8 +223,8 @@ def _spectrum_record(params, N, n, m, tol, max_iter) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    _check_solver_options(args)
     params = _build_params(args)
+    _check_solver_options(args, params)
     records = _rows(args, partial(_spectrum_record, params, tol=args.tol, max_iter=args.max_iter))
     text = (_emit_csv(records, SPECTRUM_FIELDS) if args.format == "csv"
             else _emit_json(records))
@@ -340,8 +343,8 @@ def _verify_record(params, N, n, m, args, grid) -> dict:
 def cmd_verify(args) -> int:
     if not 0.0 < args.vtol < math.inf:
         raise DomainError(f"--vtol must be positive and finite, got {args.vtol}")
-    _check_solver_options(args)
     params = _build_params(args)
+    _check_solver_options(args, params)
     grid = GridSpec(points=args.points, refinement=args.refine)
     records = _rows(args, partial(_verify_record, params, args=args, grid=grid))
     all_ok = all(r["ok"] for r in records)
@@ -476,6 +479,16 @@ def _flatten(payload, prefix="") -> list[tuple[str, str]]:
 
 
 def cmd_nu_reduce(args) -> int:
+    # exact literals stay exact, but every chain also carries their floats
+    for name in ("alpha", "beta", "gamma", "mass", "epsilon", "lam"):
+        v = getattr(args, name)
+        try:
+            got = v if not math.isfinite(v) else None
+        except OverflowError:  # an exact literal beyond float range
+            got = math.inf if v > 0 else -math.inf
+        if got is not None:
+            flag = "--lambda" if name == "lam" else f"--{name}"
+            raise DomainError(f"{flag} must be finite, got {got}")
     params = _build_params(args)
     if args.target == "radial":
         problem = radial_nu_problem(params, args.epsilon, args.lam)

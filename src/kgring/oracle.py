@@ -1,11 +1,11 @@
 """Finite-difference cross-checks for the separated equations.
 
 Everything here is re-derived from the differential equations themselves:
-three-point (radial) and flux-form finite-volume (polar) discretizations,
-Sturm-count eigenvalue location, and order-aware Richardson extrapolation
-over exact grid halvings. None of the closed forms from `bound_states` or the
-reduction machinery from `nu` is used, so agreement between the two routes is
-evidence, not tautology.
+three-point (radial) and factored cell-centred (polar) discretizations,
+Sturm-count eigenvalue location, and Richardson extrapolation in h^2, h^4,
+... over exact grid halvings. None of the closed forms from `bound_states` or
+the reduction machinery from `nu` is used, so agreement between the two
+routes is evidence, not tautology.
 
 Radial: -u'' + (lam/r^2 - A(eps)/r) u = (eps^2 - mass^2) u on (0, r_max) with
 Dirichlet walls, A(eps) = c(eps) |alpha|, solved for eps as the energy where
@@ -13,12 +13,13 @@ the (N+1)-th eigenvalue of the FD matrix crosses eps^2 - mass^2; one pivot
 sweep per probe energy, no eigenvectors.
 
 Polar: -( (1-x^2) f' )' + (m^2 + beta_eff + gamma_eff x)/(1-x^2) f
-= lam f on (-1, 1). Endpoints are regular-singular with indicial exponent
-nu = sqrt(m^2 + beta_eff -+ gamma_eff)/2 (x -> -+1): a positive exponent gets a
-Dirichlet wall inset by `margin`; a zero exponent is a natural flux-free
-boundary kept on the grid with a half cell. The FD eigenvalue error scales as
-h^(2 nu) when 2 nu < 2, so those exponents join the extrapolation orders and
-the refinement depth is raised when one of them is small.
+= lam f on (-1, 1). Both endpoints are regular-singular with indicial
+exponents sqrt(m^2 + beta_eff +- gamma_eff)/2 (x -> +-1), which can be small
+enough to ruin a plain second-order scheme. Writing f = phi g with phi the
+product of those endpoint powers leaves a problem for g with a smooth
+solution and natural ends, which a cell-centred scheme with exactly
+integrated weight moments solves to second order in h (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993).
 """
 
 from __future__ import annotations
@@ -40,16 +41,16 @@ if TYPE_CHECKING:  # only the parameter bundle's attributes are used
 class GridSpec:
     """Grid controls shared by both checks.
 
-    points: interior nodes at the coarsest level (halved h per refinement).
+    points: interior nodes at the coarsest level (halved h per refinement);
+        the polar check uses points + 1 cells, whose inner faces are those
+        nodes on (-1, 1).
     refinement: extra halved-h levels used for extrapolation.
     r_max: radial box; None picks one from the problem's own length scale.
-    margin: inset of the polar Dirichlet walls from singular endpoints.
     """
 
     points: int = 4000
     refinement: int = 2
     r_max: float | None = None
-    margin: float = 1e-10
 
     def __post_init__(self):
         if not isinstance(self.points, int) or self.points < 100:
@@ -58,20 +59,18 @@ class GridSpec:
             raise DomainError(f"refinement must be an int >= 0, got {self.refinement!r}")
         if self.r_max is not None and not float(self.r_max) > 0.0:
             raise DomainError(f"r_max must be positive, got {self.r_max}")
-        if not 0.0 < float(self.margin) < 0.1:
-            raise DomainError(f"margin must be in (0, 0.1), got {self.margin}")
 
 
-def _extrapolate(vals: Sequence[float], orders: Sequence[float]) -> list[float]:
-    """Richardson over exact h-halvings; returns the stage diagonal.
+def _extrapolate(vals: Sequence[float]) -> list[float]:
+    """Richardson in h^2, h^4, ... over exact h-halvings; the stage diagonal.
 
-    Stage s has the first s entries of `orders` eliminated; diag[-1] is the
-    final estimate and diag[-1] - diag[-2] the last applied correction.
+    Stage s has the orders h^2 .. h^(2s) eliminated; diag[-1] is the final
+    estimate and diag[-1] - diag[-2] the last applied correction.
     """
     est = list(vals)
     diag = [est[-1]]
-    for p in orders[: len(vals) - 1]:
-        f = 2.0 ** p
+    for s in range(1, len(vals)):
+        f = 4.0 ** s
         est = [(f * est[i + 1] - est[i]) / (f - 1.0) for i in range(len(est) - 1)]
         diag.append(est[-1])
     return diag
@@ -135,8 +134,7 @@ def radial_numeric_energy(
     for j in range(grid.refinement + 1):
         npts = _level_points(grid.points, j)
         vals.append(_radial_level(mass, strength, lam, N, r_max, npts, _coarser(vals)))
-    orders = [2.0 * (i + 1) for i in range(grid.refinement)]
-    diag = _extrapolate(vals, orders)
+    diag = _extrapolate(vals)
     _certify(diag, tol, mass, grid.refinement)
     return diag[-1]
 
@@ -193,10 +191,14 @@ def angular_numeric_lambda(
 ) -> float:
     """n-th eigenvalue of the polar equation at fixed ring strengths.
 
-    Each finer level passes the coarser level's value to `eigenvalue_indexed`
-    as a bounds guess, which saves sweeps and changes no bit. With `tol`
-    given, certifies the last extrapolation correction relative to
-    max(1, |lam|) or raises GridTooCoarse.
+    The endpoint exponents a (x = +1) and b (x = -1) come from the indicial
+    equation of the ODE; each level discretises the factored problem for g
+    (see `_angular_level`) on (points + 1) * 2^level cells, and the levels
+    are extrapolated in h^2, h^4, ... Each finer level passes the coarser
+    level's value to `eigenvalue_indexed` as a bounds guess, which saves
+    sweeps and changes no bit. With `tol` given, certifies the last
+    extrapolation correction relative to max(1, |lam|) or raises
+    GridTooCoarse.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise DomainError(f"m must be an int, got {m!r}")
@@ -207,83 +209,74 @@ def angular_numeric_lambda(
     if mm < abs(gamma_eff):
         raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {gamma_eff}")
 
-    two_nu_m = math.sqrt(mm - gamma_eff)  # exponent at x = -1
-    two_nu_p = math.sqrt(mm + gamma_eff)  # exponent at x = +1
-
-    slow = sorted({e for e in (two_nu_m, two_nu_p) if 0.0 < e < 2.0 - 1e-12})
-    levels = grid.refinement + 1
-    if slow and min(slow) < 1.0:
-        levels += 2  # h^(2 nu) with small nu needs extra stages to die
-    orders: list[float] = []
-    for e in slow:
-        orders.append(e)
-        if e < 1.0:
-            orders.append(2.0 * e)  # first harmonic of a sub-h order
-    k = 2.0
-    while len(orders) < levels - 1:
-        if all(abs(k - o) > 1e-9 for o in orders):
-            orders.append(k)
-        k += 1.0
-    orders.sort()
-
+    # f ~ (1 -+ x)^e at x -> +-1 with e^2 = (m^2 + beta_eff +- gamma_eff) / 4
+    a = 0.5 * math.sqrt(mm + gamma_eff)
+    b = 0.5 * math.sqrt(mm - gamma_eff)
     vals: list[float] = []
-    for j in range(levels):
-        npts = _level_points(grid.points, j)
-        vals.append(
-            _angular_level(mm, gamma_eff, two_nu_m, two_nu_p, n, npts, float(grid.margin), _coarser(vals))
-        )
-    diag = _extrapolate(vals, orders)
+    for j in range(grid.refinement + 1):
+        cells = _level_points(grid.points, j) + 1
+        vals.append(_angular_level(mm, gamma_eff, a, b, n, cells, _coarser(vals)))
+    diag = _extrapolate(vals)
     _certify(diag, tol, max(1.0, abs(diag[-1])), grid.refinement)
     return diag[-1]
 
 
+def _polar_q(mm: float, gamma_eff: float, x):
+    """q of the polar equation -((1 - x^2) f')' + q f = lam f."""
+    return (mm + gamma_eff * x) / (1.0 - x * x)
+
+
+def _log_power_moments(cells: int, h: float, e: float) -> np.ndarray:
+    """log of the integrals of t^e over [(j - 1) h, j h], j = 1..cells.
+
+    Logs keep the moments of large exponents (large |m|) in range, and
+    expm1/log1p keep the interior cells free of cancellation.
+    """
+    k = e + 1.0
+    j = np.arange(1, cells + 1, dtype=float)
+    tail = np.log(-np.expm1(k * np.log1p(-1.0 / j[1:])))  # the first cell's is log 1
+    return k * np.log(h * j) - math.log(k) + np.concatenate(([0.0], tail))
+
+
 def _angular_level(
-    mm: float,
-    gamma_eff: float,
-    two_nu_m: float,
-    two_nu_p: float,
-    n: int,
-    npts: int,
-    margin: float,
-    bounds=None,
+    mm: float, gamma_eff: float, a: float, b: float, n: int, cells: int, bounds=None
 ) -> float:
-    dir_m = two_nu_m > 0.0
-    dir_p = two_nu_p > 0.0
-    xa = -1.0 + (margin if dir_m else 0.0)
-    xb = 1.0 - (margin if dir_p else 0.0)
-    cells = npts + 1
-    h = (xb - xa) / cells
-    nodes = xa + h * np.arange(cells + 1)
-    j_lo = 1 if dir_m else 0
-    j_hi = cells - 1 if dir_p else cells
-    x = nodes[j_lo : j_hi + 1]
+    """n-th eigenvalue of the factored polar problem on `cells` equal cells.
 
-    face_r = 1.0 - (x + 0.5 * h) ** 2
-    face_l = 1.0 - (x - 0.5 * h) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (mm + gamma_eff * x) / (1.0 - x * x)
-    # at an on-grid endpoint (exponent 0) the numerator vanishes with the
-    # denominator; the limit is -+ gamma_eff / 2
-    if not dir_m:
-        q[0] = gamma_eff / 2.0
-    if not dir_p:
-        q[-1] = -gamma_eff / 2.0
+    With f = phi g, phi = (1 - x)^a (1 + x)^b, the problem for g is
+    -(p phi^2 g')' + c phi^2 g = lam phi^2 g with p = 1 - x^2 and
+    c = q - (p phi')'/phi. p phi^2 vanishes at both ends, so they are
+    natural (flux-free) and need no wall. Cell-centred: p phi^2 on the faces,
+    c pointwise at the centres, and the weight phi^2 as cell moments whose
+    singular factor, (1 - x)^(2a) on the right half and (1 + x)^(2b) on the
+    left, is integrated exactly, the other factor taken at the centre. Both
+    p phi^2 and the weight are held as logs; only their ratios, entries of
+    the symmetrized matrix, are formed.
+    """
+    h = 2.0 / cells
+    # centres and inner faces, placed so that x -> -x mirrors them exactly
+    x = h * (np.arange(cells) - 0.5 * (cells - 1))
+    faces = h * (np.arange(1, cells) - 0.5 * cells)
+    log_flux = (1.0 + 2.0 * a) * np.log1p(-faces) + (1.0 + 2.0 * b) * np.log1p(faces)
 
-    diag = (face_r + face_l) / (h * h) + q
-    off = -face_r[:-1] / (h * h)
-    cell = np.full(x.shape[0], h)
-    if not dir_m:
-        diag[0] = face_r[0] / (h * h) + q[0]
-        cell[0] = 0.5 * h
-    if not dir_p:
-        diag[-1] = face_l[-1] / (h * h) + q[-1]
-        cell[-1] = 0.5 * h
+    left = 2.0 * a * np.log1p(-x) + _log_power_moments(cells, h, 2.0 * b)
+    right = 2.0 * b * np.log1p(x) + _log_power_moments(cells, h, 2.0 * a)[::-1]
+    log_w = np.where(x < 0.0, left, right)
+    if cells % 2:  # the middle cell takes the mean of both
+        mid = cells // 2
+        log_w[mid] = np.logaddexp(left[mid], right[mid]) - math.log(2.0)
+    log_w -= math.log(h)
 
-    # generalized problem A f = lam diag(cell/h) f, symmetrized
-    w = np.sqrt(cell / h)
-    diag_s = diag / (w * w)
-    off_s = off / (w[:-1] * w[1:])
-    return eigenvalue_indexed(diag_s, off_s, n, bounds=bounds)
+    # phi'/phi and its derivative; (p phi')'/phi = p' s + p (s^2 + s')
+    s = b / (1.0 + x) - a / (1.0 - x)
+    ds = -b / (1.0 + x) ** 2 - a / (1.0 - x) ** 2
+    p = 1.0 - x * x
+    c = _polar_q(mm, gamma_eff, x) + 2.0 * x * s - p * (s * s + ds)
+
+    ends = np.concatenate(([-np.inf], log_flux, [-np.inf]))  # no flux through x = +-1
+    diag = (np.exp(ends[:-1] - log_w) + np.exp(ends[1:] - log_w)) / (h * h) + c
+    off = -np.exp(log_flux - 0.5 * (log_w[:-1] + log_w[1:])) / (h * h)
+    return eigenvalue_indexed(diag, off, n, bounds=bounds)
 
 
 def ode_residual(f, xs, coeff: Callable[[float], float]) -> float:

@@ -204,6 +204,15 @@ class TestSolveBoundState:
         with pytest.raises(NoConvergence):
             solve_bound_state(self.ring(), QuantumNumbers(0, 0, 0), tol=1e-15, max_iter=3)
 
+    def test_float_range(self):
+        # a map that overflows a float is a DomainError, not NoConvergence
+        # after the whole budget or a NaN energy marked converged
+        for p in (PotentialParams(0.2, 0.05, 0.02, 1e300), PotentialParams(1e200, 0, 0, 1.0)):
+            with pytest.raises(DomainError, match="overflows"):
+                solve_bound_state(p, QuantumNumbers(0, 0, 0))
+        st = solve_bound_state(PotentialParams(0.2, 0.0, 0.0, 1e300), QuantumNumbers(0, 0, 0))
+        assert math.isfinite(st.energy)
+
     def test_solver_guards(self):
         with pytest.raises(DomainError):
             solve_bound_state(self.ring(), QuantumNumbers(0, 0, 0), max_iter=1)

@@ -53,12 +53,12 @@ class TestGoldenFiles:
         assert p.stdout == (GOLDEN / "spectrum_ring_states.json").read_bytes()
 
     def test_verify_ring_csv(self):
-        # the oracle's energy_fd and lambda_fd to the last digit: eight
-        # certified +-1 rows, four m = 0 rows failing closed, exit 2
+        # the oracle's energy_fd and lambda_fd to the last digit: all twelve
+        # rows certified, the m = 0 ones included, exit 0
         p = run_cli("verify", "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02",
                     "--mass", "1", "--Nmax", "1", "--nmax", "1", "--mmax", "1",
                     "--points", "400", "--refine", "2", "--format", "csv")
-        assert p.returncode == 2
+        assert p.returncode == 0
         assert p.stdout == (GOLDEN / "verify_ring.csv").read_bytes()
 
 
@@ -155,6 +155,31 @@ class TestExitCodes:
         assert p.returncode == 1
         assert p.stdout == b""
         assert flag.lstrip("-").encode() + b" must be finite" in p.stderr
+
+    @pytest.mark.parametrize("command,given,name", [
+        ("nu", {"--alpha": "1e400"}, b"--alpha"),
+        ("nu", {"--mass": "1e400"}, b"--mass"),
+        ("nu", {"--epsilon": "1e400"}, b"--epsilon"),
+        ("nu", {"--lambda": "-1e400"}, b"--lambda"),
+        ("spectrum", {"--mass": "1e300"}, b"mass"),
+        ("verify", {"--mass": "1e300"}, b"mass"),
+        ("wavefunction", {"--mass": "1e300"}, b"mass"),
+        ("spectrum", {"--alpha": "1e200", "--beta": "0", "--gamma": "0"}, b"alpha"),
+    ])
+    def test_beyond_float_range(self, command, given, name):
+        # finite literals whose floats overflow, alone or inside the solver:
+        # exit 1 with a DomainError, not a traceback, a NoConvergence row
+        # after the whole budget or a NaN energy marked converged
+        values = {"--alpha": "0.2", "--beta": "0.05", "--gamma": "0.02", "--mass": "1"}
+        values.update({"nu": {"--target": "radial", "--epsilon": "0", "--lambda": "2"},
+                       "wavefunction": {"--N": "0", "--n": "0", "--m": "0"}}.get(command, {}))
+        values.update(given)
+        cmd = ("nu", "reduce") if command == "nu" else (command,)
+        p = run_cli(*cmd, *[f"{k}={v}" for k, v in values.items()])
+        assert p.returncode == 1
+        assert p.stdout == b""
+        assert b"Traceback" not in p.stderr
+        assert name in p.stderr
 
     def test_solver_failure_propagates(self):
         # one unbound state: wavefunction has no record to fall back on

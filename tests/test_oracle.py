@@ -1,11 +1,15 @@
 """Finite-difference oracle: accuracy, certification, and independence."""
 
+import csv
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kgring.oracle
 from kgring import PotentialParams, QuantumNumbers, effective_l, solve_bound_state
 from kgring.errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
 from kgring.kernels import count_below
@@ -22,6 +26,15 @@ def coulomb(alpha=0.2):
     return PotentialParams(alpha=alpha, beta=0.0, gamma=0.0, mass=1.0)
 
 
+def polar_lambda_50(beta_eff, gamma_eff, m, n):
+    """(n + B)(n + B + 1) of the polar equation, at 50 digits from its float coefficients."""
+    with mpmath.workdps(50):
+        mm = mpmath.mpf(m * m + beta_eff)
+        ge = mpmath.mpf(gamma_eff)
+        B = (mpmath.sqrt(mm + ge) + mpmath.sqrt(mm - ge)) / 2
+        return float((n + B) * (n + B + 1))
+
+
 class TestGridSpec:
     def test_defaults(self):
         g = GridSpec()
@@ -34,8 +47,6 @@ class TestGridSpec:
             GridSpec(refinement=-1)
         with pytest.raises(DomainError):
             GridSpec(r_max=0.0)
-        with pytest.raises(DomainError):
-            GridSpec(margin=0.5)
 
 
 class TestRadialOracle:
@@ -175,21 +186,43 @@ class TestAngularOracle:
         assert got == pytest.approx(lam, abs=1e-5)
 
     def test_negative_gamma_same_lambda(self):
-        up = angular_numeric_lambda(0.1, 0.04, 1, 0, GridSpec(points=1000, refinement=2))
-        down = angular_numeric_lambda(0.1, -0.04, 1, 0, GridSpec(points=1000, refinement=2))
-        assert up == pytest.approx(down, abs=1e-7)
+        for m in (0, 1):
+            up = angular_numeric_lambda(0.1, 0.04, m, 0, GridSpec(points=1000, refinement=2))
+            down = angular_numeric_lambda(0.1, -0.04, m, 0, GridSpec(points=1000, refinement=2))
+            assert up == pytest.approx(down, abs=1e-7)
 
     def test_m_zero_fractional_exponents(self):
-        # beta_eff > 0 at m = 0 puts the endpoint exponents below 1/2, so the
-        # scheme degrades from h^2 to h^(2 nu) with 2 nu ~ 0.17 here. Full
-        # tolerance is out of reach on any sane grid; assert the oracle still
-        # converges toward the closed form as the grid tightens.
-        ang = effective_l(0, 0.05, 0.02, 0)
-        lam = float(ang.separation_lambda)
-        coarse = angular_numeric_lambda(0.05, 0.02, 0, 0, GridSpec(points=1500, refinement=2))
-        fine = angular_numeric_lambda(0.05, 0.02, 0, 0, GridSpec(points=12000, refinement=3))
-        assert abs(fine - lam) < abs(coarse - lam) / 3.0
-        assert fine == pytest.approx(lam, abs=1e-3)
+        # endpoint exponents below 1/2 at m = 0: certified on the default grid
+        for beta_eff, gamma_eff, n in ((0.1, 0.04, 0), (0.1, 0.04, 1), (0.04, -0.03, 2),
+                                       (0.001, 0.0005, 0)):
+            got = angular_numeric_lambda(beta_eff, gamma_eff, 0, n, GridSpec(), tol=1e-5)
+            assert got == pytest.approx(polar_lambda_50(beta_eff, gamma_eff, 0, n), abs=1e-7)
+
+    def test_large_m_stays_in_range(self):
+        # the weight spans (h/2)^(2a) .. 1 with a ~ |m|/2, beyond float range
+        # here; the level works in logs and still certifies
+        for m in (150, 400):
+            got = angular_numeric_lambda(0.05, 0.02, m, 1, GridSpec(points=400), tol=1e-5)
+            want = polar_lambda_50(0.05, 0.02, m, 1)
+            assert got == pytest.approx(want, rel=1e-6)
+
+    def test_golden_lambda_fd_closer_to_reference(self):
+        # lambda_fd of the +-1 rows of tests/golden/verify_ring.csv as the
+        # unfactored scheme printed them; the re-captured digits must sit
+        # closer to the 50-digit value, and every row must certify
+        before = {(0, 0): 2.14791916645263, (0, 1): 6.24522950537068,
+                  (1, 0): 2.14811019008201, (1, 1): 6.24534177159733}
+        path = pathlib.Path(__file__).parent / "golden" / "verify_ring.csv"
+        rows = [r for r in csv.DictReader(path.read_text().splitlines()) if r["kind"] == "check"]
+        assert all(r["ok"] == "true" for r in rows)
+        params = PotentialParams(alpha=0.2, beta=0.05, gamma=0.02, mass=1.0)
+        for r in rows:
+            N, n, m = int(r["N"]), int(r["n"]), int(r["m"])
+            if abs(m) != 1:
+                continue
+            ang = solve_bound_state(params, QuantumNumbers(N, n, m)).angular
+            ref = polar_lambda_50(float(ang.beta_eff), float(ang.gamma_eff), m, n)
+            assert abs(float(r["lambda_fd"]) - ref) < abs(before[(N, n)] - ref)
 
     def test_complex_u(self):
         with pytest.raises(ComplexU):
@@ -204,6 +237,28 @@ class TestAngularOracle:
             angular_numeric_lambda(0.0, 0.0, 0, -1, GridSpec())
         with pytest.raises(DomainError):
             angular_numeric_lambda(0.0, 0.0, 0.5, 0, GridSpec())
+
+
+class TestAngularProperties:
+    GRID = GridSpec(points=1000, refinement=2)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        beta_eff=st.floats(0.0, 0.2),
+        # -1 and 1 put gamma_eff at -+(m^2 + beta_eff), where one exponent is 0
+        tilt=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+    )
+    def test_matches_50_digit_value_and_gamma_symmetry(self, m, n, beta_eff, tilt):
+        gamma_eff = tilt * (m * m + beta_eff)
+        lam = angular_numeric_lambda(beta_eff, gamma_eff, m, n, self.GRID)
+        assert abs(lam - polar_lambda_50(beta_eff, gamma_eff, m, n)) <= 1e-6
+        # x -> -x maps the equation to itself with gamma_eff negated, and the
+        # levels are built mirror-exact; what remains is the Sturm count's
+        # round-off, which sweeps the mirrored matrix from the other end
+        flipped = angular_numeric_lambda(beta_eff, -gamma_eff, m, n, self.GRID)
+        assert abs(flipped - lam) <= 1e-10 * max(1.0, abs(lam))
 
 
 class TestOdeResidual:
@@ -229,6 +284,21 @@ class TestOdeResidual:
         bad = np.concatenate([np.linspace(0, 0.5, 6), np.linspace(0.6, 1.2, 5)])
         with pytest.raises(DomainError):
             ode_residual(np.zeros(11), bad, lambda x: 1.0)
+
+
+class TestMutation:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_agreement_comes_from_the_ode(self, monkeypatch, m):
+        # the same call agrees with the closed form, and stops agreeing once
+        # the polar q it discretises is perturbed by a small bounded term
+        vtol = 1e-5
+        grid = GridSpec(points=400, refinement=2)
+        want = float(effective_l(m, 0.1, 0.04, 1).separation_lambda)
+        assert abs(angular_numeric_lambda(0.1, 0.04, m, 1, grid) - want) <= vtol
+        q = kgring.oracle._polar_q
+        monkeypatch.setattr(kgring.oracle, "_polar_q",
+                            lambda mm, ge, x: q(mm, ge, x) + 1e-3 * (1.0 + x))
+        assert abs(angular_numeric_lambda(0.1, 0.04, m, 1, grid) - want) > vtol
 
 
 class TestIndependence:
