@@ -20,7 +20,12 @@ l -> l_eff, giving
 
 where a is the Coulomb strength in c(eps) units. Because beta_eff and
 gamma_eff depend on eps, the two closed forms are coupled; `solve_bound_state`
-iterates them to a fixed point (one evaluation suffices when beta = gamma = 0).
+finds the fixed point by Steffensen (Aitken delta^2) steps, safeguarded by a
+bisection over the feasible energy window (one evaluation suffices when
+beta = gamma = 0). A level depends on (N, n, m) only through N + n and |m|,
+since n' = (N + n + 1) + B; the solver computes n' in that order, so every
+(N, n) with the same N + n gets the same energy to the last bit, and
+`BoundState.on_level` hands one solve to each of them.
 
 Sign convention: the level formula depends on alpha only through alpha^2 and
 is derived for the attractive orientation, so the solver binds with strength
@@ -178,7 +183,7 @@ def radial_energy(N: int, l_eff: Scalar, alpha: Scalar, mass: Scalar) -> Scalar:
         raise DomainError(f"l_eff must be non-negative, got {l_eff}")
     if not float(mass) > 0.0:
         raise DomainError(f"mass must be positive, got {mass}")
-    npr = N + l_eff + 1
+    npr = (N + 1) + l_eff
     q = alpha * alpha / 4
     return mass * (npr * npr - q) / (npr * npr + q)
 
@@ -239,8 +244,17 @@ class BoundState:
 
     @property
     def kappa(self) -> float:
+        """Radial decay rate sqrt(mass^2 - energy^2).
+
+        UnboundEnergy where it rounds to 0 (the energy rounds to mass, or
+        the squares underflow): no decaying mode can be sampled.
+        """
         m = float(self.params.mass)
-        return math.sqrt(m * m - self.energy * self.energy)
+        k = math.sqrt(m * m - self.energy * self.energy)
+        if k == 0.0:
+            raise UnboundEnergy(f"kappa = sqrt(mass^2 - energy^2) rounds to 0 at energy "
+                                f"{self.energy!r}, mass {m!r}: no decaying radial mode")
+        return k
 
     @property
     def binding(self) -> float:
@@ -258,19 +272,33 @@ class BoundState:
     def norm_angular(self) -> float:
         return math.exp(_angular_log_norm(self.numbers.n, float(self.angular.B), float(self.angular.C)))
 
+    def on_level(self, numbers: QuantumNumbers) -> BoundState:
+        """The state `solve_bound_state` returns for `numbers` on this level.
+
+        `numbers` must share N + n and |m| with this state: the energy,
+        `iterations` and `residual` are this solve's, and the polar data
+        (l_eff = n + B) is rebuilt for the new n and m.
+        """
+        own = self.numbers
+        if (numbers.N + numbers.n, abs(numbers.m)) != (own.N + own.n, abs(own.m)):
+            raise DomainError(f"{numbers} is not on the level of {self.numbers}")
+        return _level_state(self.params, numbers, self.energy, self.iterations, self.residual)
+
 
 def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
                      factor: int, strength: float, mass: float):
     """The solver's eps -> g(eps) on floats.
 
     The same IEEE operations, in the same order, as
-    float(radial_energy(N, effective_l(m, c beta, c gamma, n).l_eff, strength,
+    float(radial_energy(N + n, effective_l(m, c beta, c gamma, n).B, strength,
     mass)) with c = factor (eps + mass), and ComplexU on the same inputs;
     only the argument checks, the exact-root probes and the AngularSolution
-    are left out.
+    are left out. n' = (N + n + 1) + B rounds once, so the map depends on
+    N and n only through N + n.
     """
     mm0 = m * m
     q = strength * strength / 4
+    shift = N + n + 1
 
     def g(eps: float) -> float:
         c = factor * (eps + mass)
@@ -279,11 +307,23 @@ def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
         if mm < abs(ge):
             raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {ge}")
         u = math.sqrt(mm * mm - ge * ge)
-        npr = N + (math.sqrt((mm + u) / 2) + n) + 1
+        npr = shift + math.sqrt((mm + u) / 2)
         npr2 = npr * npr
         return mass * (npr2 - q) / (npr2 + q)
 
     return g
+
+
+def _level_state(params: PotentialParams, numbers: QuantumNumbers, eps: float,
+                 iterations: int, residual: float) -> BoundState:
+    """The converged state of `numbers` at the self-consistent energy eps."""
+    beta, gamma = float(params.beta), float(params.gamma)
+    if beta == 0.0 and gamma == 0.0:
+        ang = effective_l(numbers.m, 0, 0, numbers.n)  # exact: B = |m|
+    else:
+        c = params.coupling_factor * (eps + float(params.mass))
+        ang = effective_l(numbers.m, c * beta, c * gamma, numbers.n)
+    return BoundState(params, numbers, eps, ang, iterations, True, residual)
 
 
 def check_float_range(params: PotentialParams, numbers: QuantumNumbers) -> None:
@@ -312,17 +352,26 @@ def solve_bound_state(
 ) -> BoundState:
     """Self-consistent energy for the (N, n, m) level.
 
-    With beta = gamma = 0 the polar data is energy-free and the closed form
-    is final after a single evaluation. Otherwise a damped fixed-point
-    iteration on eps -> g(eps) = radial_energy(N, l_eff(eps), ...) runs
-    first, and a bisection on eps - g(eps) over the feasible energy window
-    finishes the job if damping alone stalls. `residual` is |eps - g(eps)|
-    at the result; convergence means residual <= tol * mass.
+    With beta = gamma = 0 the polar data is energy-free (B = |m|) and the
+    closed form is final after a single evaluation. Otherwise Steffensen
+    steps solve eps = g(eps), g(eps) = radial_energy(N, l_eff(eps), ...):
+    from eps, g(eps) and g(g(eps)) the Aitken delta^2 extrapolation gives the
+    next eps, and its own g value is its residual |eps - g(eps)|. Once eps
+    or g(eps) meets tol * mass, one more step lands on the float root, and
+    that final point is returned with its own residual (the converged point
+    itself if the step does not also meet the tolerance). A step that leaves
+    the feasible energy window or does not shrink the residual hands over to
+    a bisection of eps - g(eps) over that window, which also classifies a
+    level without a root in it (NoBoundState, ComplexU). `max_iter` bounds
+    the evaluations of g behind a converged state, across both phases;
+    convergence means residual <= tol * mass.
 
     g is evaluated by `_fixed_point_map`, a float-only copy of
-    `effective_l` followed by `radial_energy` (bit for bit the same value),
-    so the loop builds no `AngularSolution`; the state's one is built by
-    `effective_l` at the accepted energy.
+    `effective_l` followed by `radial_energy` (bit for bit the same value)
+    that depends on N and n only through N + n, so every (N, n) of a level
+    gets the same energy, iterations and residual. The loop builds no
+    `AngularSolution`; the state's one is built by `effective_l` at the
+    returned energy.
     """
     if not (isinstance(max_iter, int) and max_iter >= 2):
         raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
@@ -337,18 +386,13 @@ def solve_bound_state(
     beta, gamma = float(params.beta), float(params.gamma)
 
     if beta == 0.0 and gamma == 0.0:
-        ang = effective_l(m, 0, 0, n)
-        eps = float(radial_energy(N, ang.l_eff, strength, mass))
+        eps = float(radial_energy(N + n, abs(m), strength, mass))
         if not math.isfinite(eps):
             check_float_range(params, numbers)
-        return BoundState(params, numbers, eps, ang, iterations=1, converged=True, residual=0.0)
+        return _level_state(params, numbers, eps, 1, 0.0)
 
     g = _fixed_point_map(N, n, m, beta, gamma, factor, strength, mass)
-
-    def state(eps: float, evals: int, residual: float) -> BoundState:
-        c = factor * (eps + mass)
-        ang = effective_l(m, c * beta, c * gamma, n)
-        return BoundState(params, numbers, eps, ang, evals, True, residual)
+    fine = tol * mass
 
     # feasibility: c(eps) * (|gamma| - beta) <= m^2 bounds eps from above
     lo = -mass * (1.0 - 1e-9)
@@ -361,21 +405,53 @@ def solve_bound_state(
                 "no energy in (-mass, mass) keeps m^2 + beta_eff >= |gamma_eff|"
             )
 
-    guess = N + abs(m) + n + 1.0
-    eps = mass * (1.0 - strength * strength / (2.0 * guess * guess))
-    eps = min(max(eps, lo), hi)
+    def steffensen(x: float, gx: float, res: float):
+        """(residual, eps) of the final iterate; None where a step fails or
+        the budget runs out before any point meets the tolerance.
 
-    evals = 0
-    for _ in range(max_iter // 2):
-        g_eps = g(eps)
-        evals += 1
-        residual = abs(eps - g_eps)
-        if residual <= tol * mass:
-            return state(eps, evals, residual)
-        eps = min(max(eps + 0.5 * (g_eps - eps), lo), hi)
+        From a point that already meets the tolerance this is one more
+        Aitken step, kept if it meets the tolerance too.
+        """
+        nonlocal evals
+        done = None  # the latest (residual, eps) that meets the tolerance
+        while True:
+            if res == 0.0:  # a float fixed point: no step can improve it
+                return (res, x)
+            if res <= fine:
+                done = (res, x)
+            if evals >= max_iter or not lo <= gx <= hi:
+                return done
+            g2 = g(gx)
+            evals += 1
+            res2 = abs(gx - g2)
+            if res2 == 0.0:
+                return (res2, gx)
+            if res2 <= fine and (done is None or res2 < done[0]):
+                done = (res2, gx)
+            d = (g2 - gx) - (gx - x)
+            nxt = g2 - (g2 - gx) ** 2 / d if d != 0.0 else g2
+            if evals >= max_iter or not lo <= nxt <= hi:
+                return done
+            g_nxt = g(nxt)
+            evals += 1
+            res_nxt = abs(nxt - g_nxt)
+            if done is not None:
+                return (res_nxt, nxt) if res_nxt <= fine else done
+            if not res_nxt < res:
+                return None
+            x, gx, res = nxt, g_nxt, res_nxt
+
+    guess = N + abs(m) + n + 1.0
+    x = min(max(mass * (1.0 - strength * strength / (2.0 * guess * guess)), lo), hi)
+    gx = g(x)
+    evals = 1
+    got = steffensen(x, gx, abs(x - gx))
+    if got is not None:
+        return _level_state(params, numbers, got[1], evals, got[0])
 
     # h(eps) = eps - g(eps) is negative at the bottom of the window and
-    # positive at a solvable top; bisect the sign change
+    # positive at a solvable top; bisect the sign change, then finish with
+    # the final Aitken step from the first midpoint that meets the tolerance
     a, b = lo, hi
     ha = a - g(a)
     hb = b - g(b)
@@ -389,8 +465,9 @@ def solve_bound_state(
         g_mid = g(mid)
         evals += 1
         residual = abs(mid - g_mid)
-        if residual <= tol * mass:
-            return state(mid, evals, residual)
+        if residual <= fine:
+            got = steffensen(mid, g_mid, residual)
+            return _level_state(params, numbers, got[1], evals, got[0])
         if mid - g_mid < 0.0:
             a = mid
         else:

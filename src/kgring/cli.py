@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -129,6 +129,9 @@ def _add_ranges(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each command's function is looked up when it runs, not bound here: one
+    # parser serves a whole process, and a wrapper installed on this module
+    # after it was built (a tracer, say) must still see every command
     parser = _Parser(prog="kgring", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="levels over quantum-number ranges")
     _add_shared(sp)
     _add_ranges(sp)
-    sp.set_defaults(func=cmd_spectrum)
+    sp.set_defaults(func=lambda args: cmd_spectrum(args))
 
     wf = sub.add_parser("wavefunction", help="sample one state's factors")
     _add_shared(wf)
@@ -145,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--m", type=int, required=True)
     wf.add_argument("--samples", type=int, default=1000)
     wf.add_argument("--rmax", type=float, default=None, help="radial box (default: auto)")
-    wf.set_defaults(func=cmd_wavefunction)
+    wf.set_defaults(func=lambda args: cmd_wavefunction(args))
 
     vf = sub.add_parser("verify", help="closed form vs finite differences")
     _add_shared(vf)
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--points", type=int, default=4000)
     vf.add_argument("--refine", type=int, default=2)
     vf.add_argument("--vtol", type=float, default=1e-5)
-    vf.set_defaults(func=cmd_verify)
+    vf.set_defaults(func=lambda args: cmd_verify(args))
 
     nu = sub.add_parser("nu", help="reduction chains")
     nusub = nu.add_subparsers(dest="nu_command", required=True)
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="separation constant")
     rd.add_argument("--degree", type=_nonneg_int, default=None,
                     help="also evaluate lambda_bar_n at this n")
-    rd.set_defaults(func=cmd_nu_reduce)
+    rd.set_defaults(func=lambda args: cmd_nu_reduce(args))
 
     return parser
 
@@ -188,11 +191,14 @@ def _check_solver_options(args, params) -> None:
     check_float_range(params, QuantumNumbers(args.Nmax, args.nmax, args.mmax))
 
 
-def _rows(args, record):
-    """record(N, n, m) over the quantum-number grid, in fixed row order.
+def _rows(args, params, record):
+    """record(level, N, n, m) over the quantum-number grid, in fixed row order.
 
-    A row depends on m only through m^2 and |m|, so each distinct (N, n, |m|)
-    is evaluated once and the -m row is the +m record with its m field set.
+    A level depends on (N, n, m) only through N + n and |m|, so each one is
+    solved once, and `level` is that solve (a BoundState) or the SolverError
+    it raised. A row depends on m only through m^2 and |m|, so each distinct
+    (N, n, |m|) is recorded once and the -m row is the +m record with its m
+    field set.
     """
     rows = [
         (N, n, m)
@@ -200,32 +206,41 @@ def _rows(args, record):
         for n in range(args.nmax + 1)
         for m in range(-args.mmax, args.mmax + 1)
     ]
-    keys = dict.fromkeys((N, n, abs(m)) for N, n, m in rows)
-    done = {key: record(*key) for key in keys}
+    levels = {key: _solve_level(params, *key, args)
+              for key in dict.fromkeys((N + n, abs(m)) for N, n, m in rows)}
+    done = {(N, n, m): record(levels[(N + n, m)], N, n, m)
+            for N, n, m in dict.fromkeys((N, n, abs(m)) for N, n, m in rows)}
     return [{**done[(N, n, abs(m))], "m": m} for N, n, m in rows]
+
+
+def _solve_level(params, s, m, args):
+    try:
+        return solve_bound_state(params, QuantumNumbers(s, 0, m),
+                                 tol=args.tol, max_iter=args.max_iter)
+    except SolverError as exc:
+        return exc
 
 
 # -- spectrum ---------------------------------------------------------------
 
 
-def _spectrum_record(params, N, n, m, tol, max_iter) -> dict:
+def _spectrum_record(level, N, n, m) -> dict:
     base = {"N": N, "n": n, "m": m}
-    try:
-        st = solve_bound_state(params, QuantumNumbers(N, n, m), tol=tol, max_iter=max_iter)
-    except SolverError as exc:
+    if isinstance(level, SolverError):
         return {**base, "l_eff": None, "energy": None, "binding": None,
                 "iterations": 0, "converged": False, "residual": None,
-                "error": type(exc).__name__}
-    return {**base, "l_eff": _canon(st.l_eff), "energy": _canon(st.energy),
-            "binding": _canon(st.binding), "iterations": st.iterations,
-            "converged": st.converged, "residual": _canon(st.residual),
+                "error": type(level).__name__}
+    # l_eff = n + B, formed as effective_l forms it
+    return {**base, "l_eff": _canon(level.angular.B + n), "energy": _canon(level.energy),
+            "binding": _canon(level.binding), "iterations": level.iterations,
+            "converged": level.converged, "residual": _canon(level.residual),
             "error": None}
 
 
 def cmd_spectrum(args) -> int:
     params = _build_params(args)
     _check_solver_options(args, params)
-    records = _rows(args, partial(_spectrum_record, params, tol=args.tol, max_iter=args.max_iter))
+    records = _rows(args, params, _spectrum_record)
     text = (_emit_csv(records, SPECTRUM_FIELDS) if args.format == "csv"
             else _emit_json(records))
     sys.stdout.write(text)
@@ -314,14 +329,15 @@ def _residual_pair(params, st):
     )
 
 
-def _verify_record(params, N, n, m, args, grid) -> dict:
+def _verify_record(level, N, n, m, params, args, grid) -> dict:
     base = {"kind": "check", "N": N, "n": n, "m": m}
     blank = {"energy": None, "energy_fd": None, "energy_err": None,
              "lambda": None, "lambda_fd": None, "lambda_err": None,
              "radial_residual": None, "angular_residual": None}
+    if isinstance(level, SolverError):
+        return {**base, **blank, "ok": False, "error": type(level).__name__}
     try:
-        st = solve_bound_state(params, QuantumNumbers(N, n, m),
-                               tol=args.tol, max_iter=args.max_iter)
+        st = level.on_level(QuantumNumbers(N, n, m))
         lam = float(st.separation_lambda)
         eps_fd = radial_numeric_energy(params, lam, N, grid, tol=args.vtol)
         lam_fd = angular_numeric_lambda(float(st.angular.beta_eff),
@@ -346,7 +362,7 @@ def cmd_verify(args) -> int:
     params = _build_params(args)
     _check_solver_options(args, params)
     grid = GridSpec(points=args.points, refinement=args.refine)
-    records = _rows(args, partial(_verify_record, params, args=args, grid=grid))
+    records = _rows(args, params, partial(_verify_record, params=params, args=args, grid=grid))
     all_ok = all(r["ok"] for r in records)
     worst_e = max((r["energy_err"] for r in records if r["energy_err"] is not None),
                   default=None)
@@ -511,10 +527,15 @@ def cmd_nu_reduce(args) -> int:
     return 0
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -25,6 +25,7 @@ Solution of Sturm-Liouville Problems, 1993).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -151,6 +152,11 @@ def _radial_level(
     mass: float, strength: float, lam: float, N: int, r_max: float, npts: int, bounds=None
 ) -> float:
     h = r_max / (npts + 1)
+    inv_h2 = (1.0 / h) * (1.0 / h)
+    if not sys.float_info.min <= inv_h2 * inv_h2 < math.inf:
+        # an extreme length scale (a vanishing coupling or mass) leaves no float grid
+        raise DomainError(f"radial step h = {h:.3e} (r_max = {r_max:.3e}) "
+                          f"puts 1/h^4 outside float range")
     r = h * np.arange(1, npts + 1)
     dbase = 2.0 / (h * h) + lam / (r * r)
     dlin = -strength / r

@@ -1,6 +1,11 @@
+import csv
+import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +36,7 @@ from kgring.nu import quantize, solution_chain
 from kgring.special import gauss_laguerre_scaled, gauss_legendre
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParams:
@@ -240,9 +246,10 @@ class TestSolveBoundState:
 
 
 def loop_solve_bound_state(params, numbers, tol=1e-12, max_iter=200):
-    """The solver as it was written on the exact-arithmetic track: every
-    evaluation goes through effective_l and radial_energy and keeps the
-    AngularSolution it built. The reference the float map must match bit for bit."""
+    """The damped fixed-point loop the solver used before Steffensen steps,
+    on the exact-arithmetic track: every evaluation goes through effective_l
+    and radial_energy and keeps the AngularSolution it built. The reference
+    the solver must match in outcome and, within the tolerance, in energy."""
     if not (isinstance(max_iter, int) and max_iter >= 2):
         raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
     if not float(tol) > 0.0:
@@ -330,7 +337,8 @@ def assert_map_matches(N, n, m, beta, gamma, factor, strength, mass, eps):
         with pytest.raises(ComplexU):
             g(eps)
         return
-    assert g(eps) == float(radial_energy(N, ang.l_eff, strength, mass))
+    # n' = (N + n + 1) + B: radial_energy forms (N' + 1) + l_eff
+    assert g(eps) == float(radial_energy(N + n, ang.B, strength, mass))
 
 
 class TestFloatFixedPointMap:
@@ -355,9 +363,32 @@ class TestFloatFixedPointMap:
             assert_map_matches(N, n, m, beta, gamma, factor, strength, mass, rng.uniform(-1, 1) * mass)
 
 
+def kind(got):
+    return "converged" if isinstance(got[0], float) else got[0]
+
+
+def assert_same_root(params, numbers, tol, max_iter, got, want):
+    """The solver and the damped loop found the same level.
+
+    Both stop on a residual <= tol * mass, which puts an energy within
+    tol * mass / (1 - g') of the root: beyond tol * mass where the map's
+    slope g' is positive, so two of them agree to 2 tol * mass. The one
+    exception to equal outcomes: the loop spent a budget under 200
+    evaluations and raised, and with 200 it converges to this energy.
+    """
+    mass = float(params.mass)
+    if kind(got) != kind(want):
+        assert kind(got) == "converged" and kind(want) in (NoConvergence, ComplexU) and max_iter < 200
+        want = outcome(loop_solve_bound_state, params, numbers, tol, 200)
+        assert kind(want) == "converged"
+    if kind(got) == "converged":
+        assert abs(got[0] - want[0]) <= 2.0 * tol * mass
+        assert got[3] <= tol * mass
+
+
 class TestSolveMatchesLoop:
     CASES = [
-        # alpha, beta, gamma, coupling, tol, max_iter, (N, n, m), branch
+        # alpha, beta, gamma, coupling, tol, max_iter, (N, n, m), the loop's branch
         (0.2, 0.05, 0.02, Coupling.HALVED, 1e-12, 200, (1, 1, 1), "damped"),
         (0.2, 0.05, -0.02, Coupling.HALVED, 1e-12, 200, (2, 0, -1), "damped"),
         (0.7, 0.4, 0.9, Coupling.FULL, 1e-12, 200, (0, 2, 2), "damped"),
@@ -366,6 +397,7 @@ class TestSolveMatchesLoop:
         (0.2, 0.4, 0.02, Coupling.FULL, 1e-4, 20, (0, 0, 0), "bisect"),
         (1.9, 0.05, -0.3, Coupling.FULL, 1e-4, 10, (0, 2, 2), "bisect"),
         (1.9, 0.4, -0.3, Coupling.FULL, 1e-4, 20, (0, 2, 2), "bisect"),
+        # the loop runs out of 6 evaluations; Steffensen steps converge in 5
         (0.2, 0.05, 0.02, Coupling.HALVED, 1e-12, 6, (0, 0, 0), NoConvergence),
         (0.2, 0.05, -0.3, Coupling.HALVED, 1e-12, 200, (0, 0, 0), ComplexU),
         (0.2, 0.0, 0.0, Coupling.FULL, 1e-12, 200, (1, 0, 1), "closed"),
@@ -377,13 +409,15 @@ class TestSolveMatchesLoop:
         numbers = QuantumNumbers(*qn)
         want = outcome(loop_solve_bound_state, params, numbers, tol, max_iter)
         got = outcome(solve_bound_state, params, numbers, tol, max_iter)
-        assert got == want
+        assert_same_root(params, numbers, tol, max_iter, got, want)
         if isinstance(branch, type):
-            assert got[0] is branch
+            assert want[0] is branch
         elif branch == "bisect":
-            assert got[2] > max_iter // 2  # the damped loop alone did not finish
+            assert want[2] > max_iter // 2  # the damped loop alone did not finish
         elif branch == "damped":
-            assert 2 <= got[2] <= max_iter // 2
+            assert 2 <= want[2] <= max_iter // 2
+        if kind(got) == "converged":
+            assert got[2] <= 7
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -396,7 +430,123 @@ class TestSolveMatchesLoop:
         params = PotentialParams(alpha, beta, gamma, mass, coupling)
         numbers = QuantumNumbers(*qn)
         want = outcome(loop_solve_bound_state, params, numbers, tol, max_iter)
-        assert outcome(solve_bound_state, params, numbers, tol, max_iter) == want
+        got = outcome(solve_bound_state, params, numbers, tol, max_iter)
+        assert_same_root(params, numbers, tol, max_iter, got, want)
+
+
+def fifty_digit_root(params, numbers, start):
+    """mpmath.findroot of eps - g(eps) at 50 digits, n' = N + n + 1 + B, from `start`."""
+    with mpmath.workdps(50):
+        factor = params.coupling_factor
+        mass, beta, gamma = (mpmath.mpf(float(v)) for v in (params.mass, params.beta, params.gamma))
+        q = (factor * abs(mpmath.mpf(float(params.alpha)))) ** 2 / 4
+        m2 = numbers.m * numbers.m
+
+        def h(eps):
+            c = factor * (eps + mass)
+            mm, ge = m2 + c * beta, c * gamma
+            npr = numbers.N + numbers.n + 1 + mpmath.sqrt((mm + mpmath.sqrt(mm * mm - ge * ge)) / 2)
+            return eps - mass * (npr * npr - q) / (npr * npr + q)
+
+        return mpmath.findroot(h, mpmath.mpf(start))
+
+
+class TestFiftyDigitRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.5), alpha_sign=st.sampled_from([-1.0, 1.0]),
+        beta=st.floats(-0.3, 0.8), tilt=st.floats(-1.5, 1.5), mass=st.floats(0.1, 10.0),
+        coupling=st.sampled_from(list(Coupling)),
+        qn=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
+    )
+    def test_within_four_ulp(self, alpha, alpha_sign, beta, tilt, mass, coupling, qn):
+        # gamma = tilt |beta| of either sign; |tilt| > 1 reaches the window edge
+        params = PotentialParams(alpha_sign * alpha, beta, tilt * abs(beta), mass, coupling)
+        numbers = QuantumNumbers(*qn)
+        try:
+            got = solve_bound_state(params, numbers, tol=1e-12)
+        except (ComplexU, NoBoundState):
+            return
+        root = fifty_digit_root(params, numbers, got.energy)
+        assert abs(got.energy - root) <= 4 * math.ulp(mass)
+
+    # the printed energies of tests/golden/spectrum_ring_states.json (and of
+    # verify_ring.csv, a subset) before Steffensen steps, per level (N + n, |m|)
+    OLD_RING_DIGITS = {
+        (0, 0): "0.988389539170204", (0, 1): "0.995245392267917",
+        (1, 0): "0.996256585938217", (1, 1): "0.997850356341772",
+        (2, 0): "0.998175554550079", (2, 1): "0.998780578144743",
+        (3, 0): "0.998923664485833", (3, 1): "0.999215641122084",
+    }
+
+    def test_golden_energies_closer_than_before(self):
+        # alpha, beta, gamma, mass = 0.2, 0.05, 0.02, 1, the goldens' parameters
+        params = PotentialParams(0.2, 0.05, 0.02, 1.0)
+        rows = json.loads((GOLDEN / "spectrum_ring_states.json").read_text())
+        verify = list(csv.DictReader(io.StringIO((GOLDEN / "verify_ring.csv").read_text())))
+        printed = [(r["N"], r["n"], r["m"], repr(r["energy"])) for r in rows]
+        printed += [(int(r["N"]), int(r["n"]), int(r["m"]), r["energy"])
+                    for r in verify if r["kind"] == "check"]
+        assert len(printed) == 18 + 12
+        for N, n, m, digits in printed:
+            got = solve_bound_state(params, QuantumNumbers(N, n, m))
+            root = fifty_digit_root(params, QuantumNumbers(N, n, m), got.energy)
+            assert abs(got.energy - root) <= 4 * math.ulp(1.0)
+            assert float(digits) == float(f"{got.energy:.15g}")
+            with mpmath.workdps(50):
+                new_err = abs(mpmath.mpf(digits) - root)
+                old_err = abs(mpmath.mpf(self.OLD_RING_DIGITS[(N + n, abs(m))]) - root)
+            assert new_err < old_err
+
+
+class TestDegeneracy:
+    PARAMS = dict(
+        alpha=st.floats(0.01, 1.5), beta=st.floats(-0.3, 0.8), tilt=st.floats(-1.5, 1.5),
+        mass=st.floats(0.1, 10.0), coupling=st.sampled_from(list(Coupling)),
+    )
+
+    @staticmethod
+    def solve(params, N, n, m):
+        try:
+            return solve_bound_state(params, QuantumNumbers(N, n, m))
+        except (ComplexU, NoBoundState) as exc:
+            return type(exc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.integers(0, 8), m=st.integers(-4, 4), **PARAMS)
+    def test_one_level_per_n_plus_N(self, s, m, alpha, beta, tilt, mass, coupling):
+        # (N, s - N, m) share energy, iterations and residual to the last bit,
+        # and on_level rebuilds each one's state from any other
+        params = PotentialParams(alpha, beta, tilt * abs(beta), mass, coupling)
+        states = [self.solve(params, N, s - N, m) for N in range(s + 1)]
+        if isinstance(states[0], type):
+            assert all(st_ is states[0] for st_ in states)
+            return
+        for st_ in states:
+            assert (st_.energy, st_.iterations, st_.residual) == (
+                states[0].energy, states[0].iterations, states[0].residual)
+            assert states[0].on_level(st_.numbers) == st_
+            assert st_.l_eff == float(st_.angular.B + st_.numbers.n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(0, 4), n=st.integers(0, 4), m=st.integers(0, 4), **PARAMS)
+    def test_plus_minus_m_and_gamma_flip(self, N, n, m, alpha, beta, tilt, mass, coupling):
+        params = PotentialParams(alpha, beta, tilt * abs(beta), mass, coupling)
+        flipped = PotentialParams(alpha, beta, -tilt * abs(beta), mass, coupling)
+        want = self.solve(params, N, n, m)
+        for got in (self.solve(params, N, n, -m), self.solve(flipped, N, n, m)):
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert (got.energy, got.iterations, got.residual, got.l_eff) == (
+                    want.energy, want.iterations, want.residual, want.l_eff)
+
+    def test_on_level_guard(self):
+        st_ = solve_bound_state(PotentialParams(0.2, 0.05, 0.02, 1.0), QuantumNumbers(1, 1, 1))
+        assert st_.on_level(QuantumNumbers(2, 0, -1)).numbers == QuantumNumbers(2, 0, -1)
+        for other in (QuantumNumbers(1, 0, 1), QuantumNumbers(1, 1, 2)):
+            with pytest.raises(DomainError):
+                st_.on_level(other)
 
 
 class TestWavefunctions:

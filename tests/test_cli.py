@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from kgring import Coupling, PotentialParams, QuantumNumbers, solve_bound_state
+
 GOLDEN = Path(__file__).parent / "golden"
 
 COULOMB = ("spectrum", "--alpha", "0.2", "--beta", "0", "--gamma", "0",
@@ -181,6 +183,28 @@ class TestExitCodes:
         assert b"Traceback" not in p.stderr
         assert name in p.stderr
 
+    @pytest.mark.parametrize("command,alpha,mass", [
+        ("wavefunction", "1e-200", "1"), ("wavefunction", "0.2", "1e-300"),
+        ("verify", "0.2", "1e-300"), ("verify", "1e-200", "1"),
+    ])
+    def test_zero_binding_edge(self, command, alpha, mass):
+        # kappa rounds to 0 (the energy rounds to mass, or mass^2 underflows)
+        # and the oracle's radial step puts 1/h^4 out of float range: typed
+        # failures with exit 2, not a ZeroDivisionError or OverflowError
+        extra = {"wavefunction": ("--N", "0", "--n", "0", "--m", "0", "--samples", "3"),
+                 "verify": ("--points", "100", "--refine", "0")}[command]
+        p = run_cli(command, f"--alpha={alpha}", "--beta=0.05", "--gamma=0.02",
+                    f"--mass={mass}", *extra)
+        assert p.returncode == 2
+        assert b"Traceback" not in p.stderr
+        if command == "wavefunction":
+            assert p.stdout == b""
+            assert b"UnboundEnergy" in p.stderr
+        else:
+            rows = json.loads(p.stdout)
+            assert rows[0]["error"] == "DomainError"
+            assert rows[-1]["ok"] is False
+
     def test_solver_failure_propagates(self):
         # one unbound state: wavefunction has no record to fall back on
         p = run_cli("wavefunction", "--alpha", "0", "--beta", "0", "--gamma", "0",
@@ -319,3 +343,76 @@ class TestNuReduce:
         assert table["candidates.0"] == "9"
         assert table["selected.sign"] == "-"
         assert table["selected.lambda_bar"] == "6"
+
+
+class TestInProcess:
+    """`main` called repeatedly in one process, as a library user would."""
+
+    def run(self, capsys, *argv):
+        from kgring.cli import main
+
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out.encode(), err.encode()
+
+    def test_same_bytes_as_a_fresh_process(self, capsys, monkeypatch):
+        # the parser is built once per process: a usage error, a valid
+        # command, the same usage error again and --help give a fresh
+        # process's exit code, stdout and stderr
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = ("spectrum", "--beta", "0", "--gamma", "0", "--mass", "1")
+        for argv in (usage, COULOMB, usage, ("verify", "--help"), ("nu", "reduce", "--format", "xml")):
+            fresh = run_cli(*argv, env={"COLUMNS": "80"})
+            assert self.run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    @staticmethod
+    def direct_spectrum_record(params, N, n, m):
+        """A spectrum row from a solve of its own (N, n, m)."""
+        from kgring.cli import _canon
+        from kgring.errors import SolverError
+
+        base = {"N": N, "n": n, "m": m}
+        try:
+            st = solve_bound_state(params, QuantumNumbers(N, n, m))
+        except SolverError as exc:
+            return {**base, "l_eff": None, "energy": None, "binding": None,
+                    "iterations": 0, "converged": False, "residual": None,
+                    "error": type(exc).__name__}
+        return {**base, "l_eff": _canon(st.l_eff), "energy": _canon(st.energy),
+                "binding": _canon(st.binding), "iterations": st.iterations,
+                "converged": st.converged, "residual": _canon(st.residual), "error": None}
+
+    @pytest.mark.parametrize("alpha,beta,gamma,coupling", [
+        ("0.2", "0.05", "0.02", "halved"), ("-0.35", "0.11", "-0.13", "full"),
+        ("0.2", "0", "0", "halved"),
+    ])
+    def test_spectrum_rows_match_direct_solves(self, capsys, alpha, beta, gamma, coupling):
+        # one solve per (N + n, |m|) fans out to rows equal to each row's own
+        # solve; the second case has ComplexU rows at m = 0
+        code, out, _ = self.run(capsys, "spectrum", f"--alpha={alpha}", f"--beta={beta}",
+                                f"--gamma={gamma}", "--mass=1.1", f"--coupling={coupling}",
+                                "--Nmax=3", "--nmax=3", "--mmax=2")
+        params = PotentialParams(float(alpha), float(beta), float(gamma), 1.1, Coupling(coupling))
+        rows = json.loads(out)
+        assert len(rows) == 4 * 4 * 5
+        assert rows == [self.direct_spectrum_record(params, r["N"], r["n"], r["m"]) for r in rows]
+        assert code == (2 if any(r["error"] for r in rows) else 0)
+
+    def test_verify_rows_match_direct_solves(self, capsys):
+        from argparse import Namespace
+
+        from kgring.cli import _verify_record
+        from kgring.oracle import GridSpec
+
+        code, out, _ = self.run(capsys, "verify", "--alpha=0.3", "--beta=0.07", "--gamma=-0.03",
+                                "--mass=1", "--Nmax=1", "--nmax=1", "--mmax=1",
+                                "--points=100", "--refine=1", "--vtol=1e-3")
+        params = PotentialParams(0.3, 0.07, -0.03, 1.0)
+        args = Namespace(vtol=1e-3)
+        grid = GridSpec(points=100, refinement=1)
+        rows = json.loads(out)[:-1]
+        assert len(rows) == 2 * 2 * 3
+        for r in rows:
+            N, n, m = r["N"], r["n"], r["m"]
+            own = solve_bound_state(params, QuantumNumbers(N, n, m))
+            assert r == _verify_record(own, N, n, m, params, args, grid)
