@@ -4,7 +4,10 @@
 Semantics are defined by the pure-Python mirror in _sturm_py.py; keep the two
 in lockstep (tests/test_kernels.py checks that both define the same public
 functions). The one function, count_below, takes contiguous float64 buffers
-(off_sq holds the squared off-diagonal).
+(off_sq holds the squared off-diagonal) and sweeps every pivot. The pure
+mirror may stop early, once no later pivot can count, and returns the same
+count; it also takes the off-diagonal as `kernels.as_kernel_off_sq` prepares
+it for that backend.
 """
 
 _PIVMIN = 1e-290

@@ -454,7 +454,17 @@ def solve_bound_state(
     # the final Aitken step from the first midpoint that meets the tolerance
     a, b = lo, hi
     ha = a - g(a)
-    hb = b - g(b)
+    # rounding can leave m^2 + beta_eff a last bit below |gamma_eff| at the
+    # window top: step down a few floats to where g is defined, or raise
+    for _ in range(4):
+        try:
+            hb = b - g(b)
+            break
+        except ComplexU:
+            evals += 1
+            b = math.nextafter(b, lo)
+    else:
+        hb = b - g(b)
     evals += 2
     if ha >= 0.0:
         raise NoBoundState(f"no self-consistent level in the window for {numbers}")

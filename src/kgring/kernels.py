@@ -7,12 +7,16 @@ backend exposes one function, with identical semantics:
     count_below(diag, off_sq, x) -> #eigenvalues < x
 
 Arrays must be contiguous float64 (the compiled kernel is typed; use
-`as_kernel_array`). The bisection drivers below are shared by both backends:
-counting is the only part worth compiling. Every probe is a full pivot
-sweep, so the drivers spend as few as they can without changing a result:
-`bisect` walks the midpoint tree of a bracket, and `within_bounds` lets it
-skip the midpoints whose answer a verified guess (a coarser grid's value)
-already implies.
+`as_kernel_array`). A matrix probed at many x should pass its squared
+off-diagonal through `as_kernel_off_sq` once: the pure-Python kernel then
+converts it to Python floats, and bounds it, once per matrix rather than once
+per probe. The compiled kernel sweeps every pivot; the pure one stops once
+the rest of the sweep provably cannot count (see `_sturm_py`), with the same
+count. The bisection drivers below are shared by both backends: counting is
+the only part worth compiling. Every probe is a pivot sweep, so the drivers
+spend as few as they can without changing a result: `bisect` walks the
+midpoint tree of a bracket, and `within_bounds` lets it skip the midpoints
+whose answer a verified guess (a coarser grid's value) already implies.
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ count_below = _impl.count_below
 
 def as_kernel_array(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def as_kernel_off_sq(off_sq):
+    """A squared off-diagonal in the form the active backend sweeps fastest."""
+    if BACKEND == "python":
+        return _impl._OffSq(off_sq)
+    return as_kernel_array(off_sq)
 
 
 def bisect(below, lo: float, hi: float, rel_tol: float, scale: float = 1.0) -> float:
@@ -122,7 +133,7 @@ def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14, bounds=None) -
         raise DomainError(f"eigenvalue index {k} outside 0..{n - 1}")
     if e.shape[0] != n - 1:
         raise DomainError("off-diagonal length must be n - 1")
-    e2 = e * e
+    e2 = as_kernel_off_sq(e * e)
     radius = np.zeros(n)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)

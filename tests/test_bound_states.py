@@ -210,6 +210,16 @@ class TestSolveBoundState:
         with pytest.raises(NoConvergence):
             solve_bound_state(self.ring(), QuantumNumbers(0, 0, 0), tol=1e-15, max_iter=3)
 
+    def test_fallback_steps_below_an_undefined_window_top(self):
+        # at the window top rounding leaves m^2 + beta_eff one ulp below
+        # |gamma_eff|; a budget-starved fallback must not call the level ComplexU
+        p = PotentialParams(-1.8440, -0.14106, 0.46665, 1.7678, Coupling.FULL)
+        qn = QuantumNumbers(1, 0, -2)
+        for max_iter in (2, 3, 4):
+            with pytest.raises(NoConvergence):
+                solve_bound_state(p, qn, max_iter=max_iter)
+        assert solve_bound_state(p, qn, max_iter=5).energy == 1.0307911505674758
+
     def test_float_range(self):
         # a map that overflows a float is a DomainError, not NoConvergence
         # after the whole budget or a NaN energy marked converged

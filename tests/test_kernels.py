@@ -1,6 +1,7 @@
 """Sturm-count kernels against dense linear algebra, both backends."""
 
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgring._sturm_py as pure
-from kgring import kernels
+from kgring import kernels, oracle
 from kgring.errors import DomainError
 
 BACKENDS = [("dispatched", kernels), ("pure", pure)]
@@ -190,6 +191,41 @@ def _on_eigenvalue(draw, d, e2):
     return float(draw(st.sampled_from(list(eigs) + list(d))))
 
 
+@st.composite
+def dominant_tails(draw, max_head=12, max_tail=28):
+    """(d, e2, xs): a random head, then a tail whose diagonal sits at or just
+    above 2 sqrt(max e2), where the pure sweep may stop early. Whole matrices
+    are scaled over 300 decades; some have all-zero off-diagonals or a NaN or
+    infinite entry. xs: probes at the dense eigenvalues, at 0 and just below
+    it, where the tail's dominance is decided."""
+    head, tail = draw(st.integers(1, max_head)), draw(st.integers(0, max_tail))
+    n = head + tail
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    if draw(st.booleans()):
+        e = [0.0] * (n - 1)
+    else:
+        e = [scale * v for v in draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))]
+    e2 = [v * v for v in e]
+    top = math.sqrt(max(e2, default=0.0))
+    delta = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-3]))
+    noise = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    d = [scale * v for v in draw(st.lists(st.floats(-10.0, 10.0), min_size=head, max_size=head))]
+    d += [2.0 * top * (1.0 + delta) + scale * draw(noise) for _ in range(tail)]
+    xs = [0.0, -1e-12 * top, -3e-12 * top]
+    if all(math.isfinite(v) for v in d + e2):
+        xs += [float(v) for v in dense_eigs(np.asarray(d), np.asarray(e))]
+    where = draw(st.sampled_from([None, "d", "e2"]))
+    if where == "d" or (where == "e2" and n > 1):
+        vals = d if where == "d" else e2
+        vals[draw(st.integers(0, len(vals) - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return d, e2, xs
+
+
+def _prepared(mod, e2):
+    # the off-diagonal as each backend's callers pass it after preparing it once
+    return kernels.as_kernel_off_sq(e2) if mod is kernels else pure._OffSq(e2)
+
+
 class TestLoopEquivalence:
     """The numpy-shifted sweep counts exactly like the scalar loop."""
 
@@ -217,6 +253,46 @@ class TestLoopEquivalence:
             for name, mod in BACKENDS:
                 got = mod.count_below(_shape(diag, as_list, mod), _shape(e2, as_list, mod), xv)
                 assert got == loop_count_below_affine(db, dl, c, e2, xv), name
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(tri=dominant_tails(), data=st.data())
+    def test_tail_exit_counts_exactly(self, tri, data):
+        d, e2, xs = tri
+        x = data.draw(st.sampled_from(xs))
+        for xv in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            want = loop_count_below(d, e2, xv)
+            for name, mod in BACKENDS:
+                diag = kernels.as_kernel_array(d)
+                assert mod.count_below(diag, kernels.as_kernel_array(e2), xv) == want, name
+                assert mod.count_below(diag, _prepared(mod, e2), xv) == want, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(strength=st.floats(0.05, 1.0), lam=st.sampled_from([0.0, 2.0, 2.1479, 6.0]),
+           N=st.integers(0, 2), r_max=st.sampled_from([40.0, 400.0]))
+    def test_radial_levels_count_exactly(self, strength, lam, N, r_max):
+        # every probe of a radial level, bisected onto the level itself; the
+        # classical tail beyond the turning point is where the sweep stops early
+        npts = 300
+        h = r_max / (npts + 1)
+        e2 = [1.0 / h ** 4] * (npts - 1)
+        probes = []
+        inner = oracle.count_below
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "count_below",
+                       lambda diag, off_sq, x: probes.append((diag, x)) or inner(diag, off_sq, x))
+            try:
+                oracle._radial_level(1.0, strength, lam, N, r_max, npts)
+            except oracle.NoBoundState:
+                pass
+        stopped_early = False
+        for diag, x in probes:
+            want = loop_count_below(diag, e2, x)
+            for name, mod in BACKENDS:
+                assert mod.count_below(diag, _prepared(mod, e2), x) == want, name
+            bound = pure._OffSq(e2).bound
+            stopped_early |= pure._decided_end(np.asarray(diag) - x, bound) < npts
+        assert stopped_early or not probes
 
 
 class TestEigenvalueBounds:

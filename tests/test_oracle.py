@@ -15,6 +15,9 @@ from kgring.errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
 from kgring.kernels import count_below
 from kgring.oracle import (
     GridSpec,
+    _angular_level,
+    _extrapolate,
+    _level_points,
     _radial_level,
     angular_numeric_lambda,
     ode_residual,
@@ -259,6 +262,74 @@ class TestAngularProperties:
         # round-off, which sweeps the mirrored matrix from the other end
         flipped = angular_numeric_lambda(beta_eff, -gamma_eff, m, n, self.GRID)
         assert abs(flipped - lam) <= 1e-10 * max(1.0, abs(lam))
+
+
+def unguided_ladder(level, sizes):
+    """The extrapolated value of levels solved with no bounds guess at all."""
+    return _extrapolate([level(size) for size in sizes])[-1]
+
+
+class TestSeededLevelZero:
+    """Polar level 0 starts from the same eigenvalue on a grid 16 times
+    coarser: fewer probes, the same floats."""
+
+    GRID = GridSpec(points=1615, refinement=1)  # the smallest grid that seeds
+
+    @settings(max_examples=4, deadline=None)
+    @given(m=st.integers(0, 2), n=st.integers(0, 2), beta_eff=st.floats(0.0, 0.2),
+           tilt=st.floats(-1.0, 1.0))
+    def test_angular_equals_unguided_ladder(self, m, n, beta_eff, tilt):
+        gamma_eff = tilt * (m * m + beta_eff)
+        mm = m * m + beta_eff
+        a, b = 0.5 * math.sqrt(mm + gamma_eff), 0.5 * math.sqrt(mm - gamma_eff)
+        sizes = [_level_points(self.GRID.points, j) + 1 for j in range(self.GRID.refinement + 1)]
+        want = unguided_ladder(lambda cells: _angular_level(mm, gamma_eff, a, b, n, cells), sizes)
+        assert angular_numeric_lambda(beta_eff, gamma_eff, m, n, self.GRID) == want
+
+    @settings(max_examples=3, deadline=None)
+    @given(alpha=st.floats(0.2, 0.4), lam=st.floats(0.0, 2.5), N=st.integers(0, 1))
+    def test_radial_equals_unguided_ladder(self, alpha, lam, N):
+        # the radial route takes no seed: its ladder stays the guided one
+        params = coulomb(alpha)
+        grid = GridSpec(points=self.GRID.points, refinement=1, r_max=400.0)
+        sizes = [_level_points(grid.points, j) for j in range(grid.refinement + 1)]
+        strength = params.coupling_factor * alpha
+        want = unguided_ladder(
+            lambda npts: _radial_level(1.0, strength, lam, N, grid.r_max, npts), sizes)
+        assert radial_numeric_energy(params, lam, N, grid) == want
+
+    @pytest.mark.parametrize("error", [NoBoundState, DomainError])
+    def test_failed_seed_changes_nothing(self, monkeypatch, error):
+        want = angular_numeric_lambda(0.1, 0.04, 1, 1, self.GRID)
+        seed_cells = (self.GRID.points + 1) // 16
+        tried = []
+
+        def level(mm, gamma_eff, a, b, n, cells, bounds=None):
+            if cells == seed_cells:
+                tried.append(cells)
+                raise error("forced")
+            return _angular_level(mm, gamma_eff, a, b, n, cells, bounds)
+
+        monkeypatch.setattr(kgring.oracle, "_angular_level", level)
+        assert angular_numeric_lambda(0.1, 0.04, 1, 1, self.GRID) == want
+        assert tried == [seed_cells]
+
+    def test_index_beyond_the_seed_grid(self):
+        # n = 120 has no eigenvalue on the 101-cell seed grid: level 0 goes unguided
+        grid = GridSpec(points=1615, refinement=0)
+        want = _angular_level(0.0, 0.0, 0.0, 0.0, 120, 1616)
+        assert angular_numeric_lambda(0.0, 0.0, 0, 120, grid) == want
+
+    def test_seed_saves_level_zero_probes(self, monkeypatch):
+        sizes = []
+        inner = kgring.kernels.count_below
+        monkeypatch.setattr(kgring.kernels, "count_below",
+                            lambda *a: sizes.append(len(a[0])) or inner(*a))
+        angular_numeric_lambda(0.1, 0.04, 1, 0, GridSpec(points=4000, refinement=0))
+        seeded = sizes.count(4001)
+        sizes.clear()
+        _angular_level(1.1, 0.04, 0.5 * math.sqrt(1.14), 0.5 * math.sqrt(1.06), 0, 4001)
+        assert seeded < 40 < 60 < sizes.count(4001)
 
 
 class TestOdeResidual:
