@@ -42,6 +42,9 @@ class _OffSq(list):
     The leading 0.0 makes the first pivot one more loop step: from a
     previous pivot of 1.0 it gives t_0 - 0.0 / 1.0 = t_0 exactly. `bound`
     is s = sqrt(max e2) (1 + 1e-12) + floor, NaN or inf when e2 holds one.
+    This form is private to this kernel: its length is n, not n - 1, so it
+    is no off-diagonal for the compiled kernel or for a second wrapping
+    (`kernels.as_kernel_off_sq` passes a prepared one through unchanged).
     """
 
     __slots__ = ("bound",)

@@ -50,9 +50,12 @@ def as_kernel_array(a) -> np.ndarray:
 
 
 def as_kernel_off_sq(off_sq):
-    """A squared off-diagonal in the form the active backend sweeps fastest."""
+    """A squared off-diagonal in the form the active backend sweeps fastest.
+
+    Idempotent: an off-diagonal already prepared is returned as it is.
+    """
     if BACKEND == "python":
-        return _impl._OffSq(off_sq)
+        return off_sq if type(off_sq) is _impl._OffSq else _impl._OffSq(off_sq)
     return as_kernel_array(off_sq)
 
 

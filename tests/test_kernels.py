@@ -226,6 +226,16 @@ def _prepared(mod, e2):
     return kernels.as_kernel_off_sq(e2) if mod is kernels else pure._OffSq(e2)
 
 
+def test_preparing_twice_changes_nothing():
+    rng = np.random.default_rng(5)
+    d, e = random_tridiag(rng, 40)
+    once = kernels.as_kernel_off_sq(e * e)
+    twice = kernels.as_kernel_off_sq(once)
+    assert len(twice) == len(once)
+    for x in np.linspace(-6.0, 6.0, 25):
+        assert kernels.count_below(d, twice, x) == loop_count_below(d, e * e, x)
+
+
 class TestLoopEquivalence:
     """The numpy-shifted sweep counts exactly like the scalar loop."""
 
@@ -285,13 +295,18 @@ class TestLoopEquivalence:
                 oracle._radial_level(1.0, strength, lam, N, r_max, npts)
             except oracle.NoBoundState:
                 pass
-        stopped_early = False
+        # a huge last entry, put behind the tail bound's back, flips the last
+        # pivot's sign; a sweep that still counts `want` never formed that pivot
+        poison = e2[:-1] + [1e300]
+        stopped_early = 0
         for diag, x in probes:
             want = loop_count_below(diag, e2, x)
             for name, mod in BACKENDS:
                 assert mod.count_below(diag, _prepared(mod, e2), x) == want, name
-            bound = pure._OffSq(e2).bound
-            stopped_early |= pure._decided_end(np.asarray(diag) - x, bound) < npts
+            poisoned = pure._OffSq(e2)
+            poisoned[-1] = poison[-1]
+            if loop_count_below(diag, poison, x) != want:
+                stopped_early += pure.count_below(diag, poisoned, x) == want
         assert stopped_early or not probes
 
 

@@ -331,6 +331,20 @@ class TestSeededLevelZero:
         _angular_level(1.1, 0.04, 0.5 * math.sqrt(1.14), 0.5 * math.sqrt(1.06), 0, 4001)
         assert seeded < 40 < 60 < sizes.count(4001)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_seed_saves_pivot_steps_above_the_ground_state(self, monkeypatch, n):
+        # for n >= 1 the seed sits O(h^2) away and level 0 still takes over
+        # 40 probes, so the saving shows only in pivots, seed grid included
+        sizes = []
+        inner = kgring.kernels.count_below
+        monkeypatch.setattr(kgring.kernels, "count_below",
+                            lambda *a: sizes.append(len(a[0])) or inner(*a))
+        angular_numeric_lambda(0.1, 0.04, 1, n, GridSpec(points=4000, refinement=0))
+        seeded = sum(sizes)
+        sizes.clear()
+        _angular_level(1.1, 0.04, 0.5 * math.sqrt(1.14), 0.5 * math.sqrt(1.06), n, 4001)
+        assert seeded < sum(sizes)
+
 
 class TestOdeResidual:
     def test_sine_defect_small_and_quarters(self):
