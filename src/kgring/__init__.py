@@ -62,12 +62,7 @@ from .oracle import (
     radial_numeric_energy,
 )
 from .polynomials import Poly, format_poly, perfect_square_root, quad_discriminant
-from .special import (
-    QuadratureRule,
-    jacobi_poly,
-    laguerre_assoc,
-    log_gamma,
-)
+from .special import jacobi_poly, laguerre_assoc
 
 __version__ = "0.1.0"
 
@@ -88,6 +83,6 @@ __all__ = [
     "GridSpec", "angular_numeric_lambda", "ode_residual",
     "radial_numeric_energy",
     "Poly", "format_poly", "perfect_square_root", "quad_discriminant",
-    "QuadratureRule", "jacobi_poly", "laguerre_assoc", "log_gamma",
+    "jacobi_poly", "laguerre_assoc",
     "__version__",
 ]

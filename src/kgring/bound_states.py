@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy
 from .nu import NUProblem
 from .polynomials import Poly, Scalar, _exact_sqrt
-from .special import jacobi_poly, laguerre_assoc, log_gamma
+from .special import jacobi_poly, laguerre_assoc
 
 
 class Coupling(enum.Enum):
@@ -160,7 +160,7 @@ def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularS
     mm = m * m + beta_eff
     gabs = -gamma_eff if gamma_eff < 0 else gamma_eff
     if mm < gabs:
-        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {gamma_eff}")
+        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(gamma_eff)}")
     u = _maybe_sqrt(mm * mm - gamma_eff * gamma_eff)
     B = _maybe_sqrt((mm + u) / 2)
     # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
@@ -305,7 +305,7 @@ def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
         mm = mm0 + c * beta
         ge = c * gamma
         if mm < abs(ge):
-            raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {ge}")
+            raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(ge)}")
         u = math.sqrt(mm * mm - ge * ge)
         npr = shift + math.sqrt((mm + u) / 2)
         npr2 = npr * npr
@@ -494,18 +494,18 @@ def solve_bound_state(
 def _radial_log_norm(N: int, l_eff: float, kappa: float) -> float:
     npr = N + l_eff + 1.0
     return (l_eff + 1.0) * math.log(2.0 * kappa) + 0.5 * (
-        math.log(kappa) + log_gamma(N + 1) - math.log(npr) - log_gamma(N + 2.0 * l_eff + 2.0)
+        math.log(kappa) + math.lgamma(N + 1) - math.log(npr) - math.lgamma(N + 2.0 * l_eff + 2.0)
     )
 
 
 def _angular_log_norm(n: int, B: float, C: float) -> float:
     return 0.5 * (
         math.log(2.0 * n + 2.0 * B + 1.0)
-        + log_gamma(n + 1)
-        + log_gamma(n + 2.0 * B + 1.0)
+        + math.lgamma(n + 1)
+        + math.lgamma(n + 2.0 * B + 1.0)
         - (2.0 * B + 1.0) * math.log(2.0)
-        - log_gamma(n + B + C + 1.0)
-        - log_gamma(n + B - C + 1.0)
+        - math.lgamma(n + B + C + 1.0)
+        - math.lgamma(n + B - C + 1.0)
     )
 
 

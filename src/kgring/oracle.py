@@ -222,7 +222,7 @@ def angular_numeric_lambda(
     beta_eff, gamma_eff = float(beta_eff), float(gamma_eff)
     mm = m * m + beta_eff
     if mm < abs(gamma_eff):
-        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {gamma_eff}")
+        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(gamma_eff)}")
 
     # f ~ (1 -+ x)^e at x -> +-1 with e^2 = (m^2 + beta_eff +- gamma_eff) / 4
     a = 0.5 * math.sqrt(mm + gamma_eff)

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kgring import (
     ComplexU,
@@ -33,7 +33,6 @@ from kgring import (
 )
 from kgring.bound_states import _fixed_point_map
 from kgring.nu import quantize, solution_chain
-from kgring.special import gauss_laguerre_scaled, gauss_legendre
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,6 +122,11 @@ class TestEffectiveL:
             effective_l(0, 0, 5, 0)
         with pytest.raises(ComplexU):
             effective_l(1, F(1, 2), 2, 0)
+        # the message prints the magnitude of a negative gamma_eff
+        with pytest.raises(ComplexU, match=r"\|gamma_eff\| = 5$"):
+            effective_l(0, 0, -5, 0)
+        with pytest.raises(ComplexU, match=r"\|gamma_eff\| = 5\.0$"):
+            _fixed_point_map(0, 0, 0, 0.0, -5.0, 1, 0.2, 1.0)(0.0)
 
     def test_small_gamma_cancellation_safe(self):
         # C = |gamma|/(2B) must not lose digits when u ~ m^2 + beta
@@ -551,6 +555,30 @@ class TestDegeneracy:
                 assert (got.energy, got.iterations, got.residual, got.l_eff) == (
                     want.energy, want.iterations, want.residual, want.l_eff)
 
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(0, 4), n=st.integers(0, 4), m=st.integers(-4, 4),
+           s=st.floats(0.1, 10.0), **PARAMS)
+    def test_mass_scaling(self, N, n, m, s, alpha, beta, tilt, mass, coupling):
+        # eps/M sees beta and gamma only through M beta and M gamma: at fixed
+        # alpha, (beta, gamma, M) -> (beta/s, gamma/s, s M) leaves it unchanged
+        gamma = tilt * abs(beta)
+        base = self.solve(PotentialParams(alpha, beta, gamma, mass, coupling), N, n, m)
+        scaled = self.solve(
+            PotentialParams(alpha, beta / s, gamma / s, s * mass, coupling), N, n, m)
+        for st_ in (base, scaled):
+            if not isinstance(st_, type):
+                # within 1e-9 of the ComplexU edge m^2 + c (beta - |gamma|) = 0,
+                # or on it, rounding may put the two sides on different sides
+                p = st_.params
+                c = p.coupling_factor * (st_.energy + p.mass)
+                gap = m * m + c * (p.beta - abs(p.gamma))
+                assume(gap > 1e-9 * (m * m + c * (abs(p.beta) + abs(p.gamma))))
+        if isinstance(base, type) or isinstance(scaled, type):
+            assert scaled is base
+        else:
+            assert scaled.energy / scaled.params.mass == pytest.approx(
+                base.energy / mass, abs=1e-12)
+
     def test_on_level_guard(self):
         st_ = solve_bound_state(PotentialParams(0.2, 0.05, 0.02, 1.0), QuantumNumbers(1, 1, 1))
         assert st_.on_level(QuantumNumbers(2, 0, -1)).numbers == QuantumNumbers(2, 0, -1)
@@ -570,8 +598,8 @@ class TestWavefunctions:
 
     def test_radial_norm(self):
         st = self.state(N=2)
-        rule = gauss_laguerre_scaled(300, 2.0 * st.kappa)
-        total = rule.integrate(lambda r: radial_wavefunction(st, r) ** 2)
+        total = float(mpmath.quad(
+            lambda r: float(radial_wavefunction(st, float(r))) ** 2, [0, mpmath.inf]))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_radial_node_count(self):
@@ -585,8 +613,8 @@ class TestWavefunctions:
 
     def test_angular_norm(self):
         st = self.state(n=2)
-        rule = gauss_legendre(400)
-        total = rule.integrate(lambda x: angular_wavefunction(st, x) ** 2)
+        x, w = np.polynomial.legendre.leggauss(400)
+        total = float(np.dot(w, angular_wavefunction(st, x) ** 2))
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_angular_node_count(self):
@@ -629,21 +657,18 @@ class TestWavefunctions:
             states.append((N, kap))
         for (N1, k1) in states:
             for (N2, k2) in states:
-                rule = gauss_laguerre_scaled(220, k1 + k2)
-                val = rule.integrate(
-                    lambda r: radial_mode(N1, l_eff, k1, r) * radial_mode(N2, l_eff, k2, r)
-                )
+                val = float(mpmath.quad(
+                    lambda r: float(radial_mode(N1, l_eff, k1, float(r)))
+                    * float(radial_mode(N2, l_eff, k2, float(r))), [0, mpmath.inf]))
                 expect = 1.0 if N1 == N2 else 0.0
                 assert val == pytest.approx(expect, abs=2e-9)
 
     def test_angular_mode_orthogonality_fixed_bc(self):
         B, C = 1.5, 0.5  # integer Jacobi exponents: quadrature is exact
-        rule = gauss_legendre(60)
+        x, w = np.polynomial.legendre.leggauss(60)
         for n1 in range(3):
             for n2 in range(3):
-                val = rule.integrate(
-                    lambda x: angular_mode(n1, B, C, x) * angular_mode(n2, B, C, x)
-                )
+                val = float(np.dot(w, angular_mode(n1, B, C, x) * angular_mode(n2, B, C, x)))
                 expect = 1.0 if n1 == n2 else 0.0
                 assert val == pytest.approx(expect, abs=1e-13)
 

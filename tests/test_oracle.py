@@ -230,6 +230,8 @@ class TestAngularOracle:
     def test_complex_u(self):
         with pytest.raises(ComplexU):
             angular_numeric_lambda(0.0, 5.0, 0, 0, GridSpec(points=200, refinement=0))
+        with pytest.raises(ComplexU, match=r"\|gamma_eff\| = 5\.0$"):
+            angular_numeric_lambda(0.0, -5.0, 0, 0, GridSpec(points=200, refinement=0))
 
     def test_certification(self):
         with pytest.raises(GridTooCoarse):
