@@ -16,6 +16,11 @@ COULOMB = ("spectrum", "--alpha", "0.2", "--beta", "0", "--gamma", "0",
            "--mass", "1", "--Nmax", "1", "--nmax", "0", "--mmax", "1")
 RING = ("spectrum", "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02",
         "--mass", "1", "--Nmax", "2", "--nmax", "1", "--mmax", "1")
+NU_RADIAL = ("nu", "reduce", "--target", "radial", "--alpha", "-2", "--beta", "0",
+             "--gamma", "0", "--mass", "5", "--epsilon", "4", "--lambda", "2")
+NU_ANGULAR = ("nu", "reduce", "--target", "angular", "--alpha", "0", "--beta", "2",
+              "--gamma", "2", "--mass", "1", "--epsilon", "1", "--m", "1", "--lambda", "20")
+NU_FORMATS = (("json", "json"), ("csv", "csv"), ("text", "txt"))
 
 
 def run_cli(*args, env=None):
@@ -62,6 +67,26 @@ class TestGoldenFiles:
                     "--points", "400", "--refine", "2", "--format", "csv")
         assert p.returncode == 0
         assert p.stdout == (GOLDEN / "verify_ring.csv").read_bytes()
+
+    @pytest.mark.parametrize("name,argv", [
+        *((f"nu_radial.{ext}", (*NU_RADIAL, "--degree", "2", "--format", fmt))
+          for fmt, ext in NU_FORMATS),
+        *((f"nu_angular.{ext}", (*NU_ANGULAR, "--format", fmt)) for fmt, ext in NU_FORMATS),
+        ("nu_fraction.json", ("nu", "reduce", "--target", "radial", "--alpha=-1/2", "--beta", "0",
+                              "--gamma", "0", "--mass", "5", "--epsilon", "4", "--lambda", "2")),
+        # irrational square roots: every value past the radicand on the float track
+        ("nu_irrational.txt", ("nu", "reduce", "--target=radial", "--alpha=1", "--beta=0",
+                               "--gamma=0", "--mass=1", "--epsilon=0", "--lambda=-1/8",
+                               "--format=text")),
+        # both signs give pi = 0, so both rows are tagged selected
+        ("nu_legendre.txt", ("nu", "reduce", "--target=angular", "--m=0", "--alpha=0",
+                             "--beta=0", "--gamma=0", "--mass=1", "--epsilon=0",
+                             "--lambda=2", "--format=text")),
+    ])
+    def test_nu_reduce(self, name, argv):
+        p = run_cli(*argv)
+        assert p.returncode == 0
+        assert p.stdout == (GOLDEN / name).read_bytes()
 
 
 class TestJsonContract:
@@ -283,11 +308,8 @@ class TestVerify:
 
 
 class TestNuReduce:
-    RADIAL = ("nu", "reduce", "--target", "radial", "--alpha", "-2", "--beta", "0",
-              "--gamma", "0", "--mass", "5", "--epsilon", "4", "--lambda", "2")
-    ANGULAR = ("nu", "reduce", "--target", "angular", "--alpha", "0", "--beta", "2",
-               "--gamma", "2", "--mass", "1", "--epsilon", "1", "--m", "1",
-               "--lambda", "20")
+    RADIAL = NU_RADIAL
+    ANGULAR = NU_ANGULAR
 
     def test_radial_rational_json(self):
         p = run_cli(*self.RADIAL, "--degree", "2")
