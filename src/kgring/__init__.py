@@ -15,10 +15,8 @@ from .bound_states import (
     angular_mode,
     angular_nu_problem,
     angular_wavefunction,
-    azimuthal_wavefunction,
     effective_l,
     nonrel_limit_check,
-    potential_value,
     radial_energy,
     radial_mode,
     radial_nu_problem,
@@ -51,7 +49,6 @@ from .nu import (
     branches,
     candidate_k,
     classify,
-    quantize,
     select_physical,
     solution_chain,
 )
@@ -69,8 +66,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularSolution", "BoundState", "Coupling", "PotentialParams",
     "QuantumNumbers", "angular_mode", "angular_nu_problem",
-    "angular_wavefunction", "azimuthal_wavefunction", "effective_l",
-    "nonrel_limit_check", "potential_value", "radial_energy", "radial_mode",
+    "angular_wavefunction", "effective_l", "nonrel_limit_check",
+    "radial_energy", "radial_mode",
     "radial_nu_problem", "radial_wavefunction", "solve_bound_state",
     "ComplexU", "DegeneracyWarning", "DegreeError", "DomainError",
     "GridTooCoarse", "NoBoundState", "NoConvergence", "NoPhysicalBranch",
@@ -78,8 +75,7 @@ __all__ = [
     "UnclassifiedSigma",
     "BACKEND",
     "Chain", "Family", "NUBranch", "NUProblem", "PhiFactor", "Quantization",
-    "branches", "candidate_k", "classify", "quantize", "select_physical",
-    "solution_chain",
+    "branches", "candidate_k", "classify", "select_physical", "solution_chain",
     "GridSpec", "angular_numeric_lambda", "ode_residual",
     "radial_numeric_energy",
     "Poly", "format_poly", "perfect_square_root", "quad_discriminant",

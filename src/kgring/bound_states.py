@@ -29,8 +29,7 @@ since n' = (N + n + 1) + B; the solver computes n' in that order, so every
 
 Sign convention: the level formula depends on alpha only through alpha^2 and
 is derived for the attractive orientation, so the solver binds with strength
-|alpha| (alpha = 0 cannot bind and raises NoBoundState). `potential_value`
-always evaluates the literal expression above.
+|alpha| (alpha = 0 cannot bind and raises NoBoundState).
 
 Everything here reduces through `nu` and the reductions are cross-checked
 against that engine in the tests; the separate `oracle` module re-derives the
@@ -104,19 +103,6 @@ class QuantumNumbers:
                 raise DomainError(f"{name} must be an int, got {v!r}")
         if self.N < 0 or self.n < 0:
             raise DomainError(f"N and n must be non-negative, got {self.N}, {self.n}")
-
-
-def potential_value(params: PotentialParams, r: float, theta: float) -> float:
-    """The literal V(r, theta); defined for r > 0 and theta inside (0, pi)."""
-    rf, tf = float(r), float(theta)
-    if not rf > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
-    if not 0.0 < tf < math.pi:
-        raise DomainError(f"theta must lie strictly between 0 and pi, got {theta}")
-    s = math.sin(tf)
-    return float(params.alpha) / rf + (float(params.beta) + float(params.gamma) * math.cos(tf)) / (
-        rf * rf * s * s
-    )
 
 
 def _maybe_sqrt(x: Scalar) -> Scalar:
@@ -574,15 +560,6 @@ def angular_wavefunction(state: BoundState, x):
         x,
         negative_gamma=float(state.angular.gamma_eff) < 0.0,
     )
-
-
-def azimuthal_wavefunction(m: int, phi):
-    """e^(i m phi) / sqrt(2 pi), unit norm over one turn."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise DomainError(f"m must be an int, got {m!r}")
-    pp = np.asarray(phi, dtype=float)
-    out = np.exp(1j * m * pp) / math.sqrt(2.0 * math.pi)
-    return complex(out) if np.ndim(phi) == 0 else out
 
 
 def nonrel_limit_check(params: PotentialParams, numbers: QuantumNumbers) -> float:

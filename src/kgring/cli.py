@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from functools import cache, partial
 
@@ -35,8 +36,8 @@ from .bound_states import (
     radial_wavefunction,
     solve_bound_state,
 )
-from .errors import DomainError, NoPhysicalBranch, SolverError
-from .nu import NUProblem, branches, solution_chain
+from .errors import DegeneracyWarning, DomainError, SolverError
+from .nu import Chain, solution_chain
 from .oracle import GridSpec, angular_numeric_lambda, ode_residual, radial_numeric_energy
 from .polynomials import format_poly
 
@@ -404,25 +405,14 @@ def _branch_payload(b, var, selected) -> dict:
     }
 
 
-def _nu_payload(problem: NUProblem, var: str, target: str, degree) -> dict:
-    try:
-        chain = solution_chain(problem)
-    except NoPhysicalBranch:
-        # surface both branches' tau' for every candidate before giving up
-        from .nu import candidate_k
-
-        detail = []
-        for k in candidate_k(problem):
-            for b in branches(problem, k):
-                detail.append(f"k = {k}, sign {'+' if b.sign > 0 else '-'}: tau' = {b.tau_prime}")
-        raise NoPhysicalBranch("; ".join(detail))
-    sel = chain.branch
-    branch_rows = []
-    for k in chain.candidates:
-        for b in branches(problem, k):
-            selected = float(b.k) == float(sel.k) and b.pi.values == sel.pi.values
-            branch_rows.append(_branch_payload(b, var, selected))
-    q = chain.quantization
+def _nu_payload(chain: Chain, var: str, target: str, degree, lambda_bar_n) -> dict:
+    problem, sel, q = chain.problem, chain.branch, chain.quantization
+    # a row is selected when it carries the selected pi at the selected k: in
+    # the Legendre case both signs give pi = 0 and both rows say so
+    branch_rows = [
+        _branch_payload(b, var, float(b.k) == float(sel.k) and b.pi.values == sel.pi.values)
+        for b in chain.branches
+    ]
     payload = {
         "target": target,
         "variable": var,
@@ -447,7 +437,7 @@ def _nu_payload(problem: NUProblem, var: str, target: str, degree) -> dict:
     }
     if degree is not None:
         payload["degree"] = degree
-        payload["lambda_bar_n"] = _json_scalar(q.evaluate(degree))
+        payload["lambda_bar_n"] = _json_scalar(lambda_bar_n)
     return payload
 
 
@@ -494,6 +484,12 @@ def _flatten(payload, prefix="") -> list[tuple[str, str]]:
     return rows
 
 
+def _nu_csv(payload: dict) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *_flatten(payload)])
+    return buf.getvalue()
+
+
 def cmd_nu_reduce(args) -> int:
     # exact literals stay exact, but every chain also carries their floats
     for name in ("alpha", "beta", "gamma", "mass", "epsilon", "lam"):
@@ -512,18 +508,14 @@ def cmd_nu_reduce(args) -> int:
     else:
         problem = angular_nu_problem(params, args.epsilon, args.m, args.lam)
         var = "x"
-    payload = _nu_payload(problem, var, args.target, args.degree)
-    if args.format == "text":
-        sys.stdout.write(_nu_text(payload))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["key", "value"])
-        for key, val in _flatten(payload):
-            w.writerow([key, val])
-        sys.stdout.write(buf.getvalue())
-    else:
-        sys.stdout.write(_emit_json(payload))
+    chain = solution_chain(problem)
+    lambda_bar_n = None if args.degree is None else chain.quantization.evaluate(args.degree)
+    emit = {"text": _nu_text, "csv": _nu_csv, "json": _emit_json}[args.format]
+    try:
+        text = emit(_nu_payload(chain, var, args.target, args.degree, lambda_bar_n))
+    except ValueError as exc:  # int -> str past sys.get_int_max_str_digits()
+        raise DomainError(f"an exact value is too long to print: {exc}") from None
+    sys.stdout.write(text)
     return 0
 
 
@@ -533,19 +525,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"kgring: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
-    except DomainError as exc:
-        print(f"kgring: error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"kgring: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a warning is one stderr line, without the source location, and a
+        # degenerate branch choice is reported on every call, not once per process
+        warnings.simplefilter("always", DegeneracyWarning)
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except DomainError as exc:
+            print(f"kgring: error: {exc}", file=sys.stderr)
+            return 1
+        except SolverError as exc:
+            print(f"kgring: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from .errors import (
     NotAPerfectSquare,
     UnclassifiedSigma,
 )
-from .polynomials import Poly, Scalar, _exact_sqrt, perfect_square_root
+from .polynomials import Poly, Scalar, _exact_sqrt, perfect_square_root, quad_discriminant
 
 _HALF = Fraction(1, 2)
 
@@ -117,7 +117,10 @@ class Quantization:
     def evaluate(self, n: int) -> Scalar:
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"polynomial degree must be a non-negative int, got {n!r}")
-        return self.constant + self.linear * n + self.quadratic * n * n
+        try:
+            return self.constant + self.linear * n + self.quadratic * n * n
+        except OverflowError:  # a float rule at a degree beyond float range
+            raise DomainError("lambda_bar_n is beyond float range at this degree") from None
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,16 @@ class PhiFactor:
 
 @dataclass(frozen=True)
 class Chain:
-    """A fully selected reduction: problem -> k -> branch -> eigenvalue rule."""
+    """A fully selected reduction: problem -> k -> branch -> eigenvalue rule.
+
+    `branches` holds both sign choices for every candidate k, in candidate
+    order with + before -; `branch` is the selected one among them.
+    """
 
     problem: NUProblem
     family: Family
     candidates: tuple
+    branches: tuple
     branch: NUBranch
     phi: PhiFactor
     quantization: Quantization
@@ -157,7 +165,10 @@ def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar, rel_tol: float) -> list
             raise NoRealK(f"discriminant of the k-condition is {inner} < 0")
         s = _exact_sqrt(Fraction(inner))
         if s is None:
-            sf = math.sqrt(inner)
+            try:
+                sf = math.sqrt(inner)
+            except OverflowError:
+                raise DomainError("the k-condition's discriminant is beyond float range") from None
             return sorted({(-float(d1) - sf) / (2 * float(d2)), (-float(d1) + sf) / (2 * float(d2))})
         roots = {(-d1 - s) / (2 * d2), (-d1 + s) / (2 * d2)}
         return sorted(roots, key=float)
@@ -182,27 +193,32 @@ def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar, rel_tol: float) -> list
     return sorted({q / f2, f0 / q})
 
 
-def candidate_k(problem: NUProblem, rel_tol: float = 1e-9) -> list:
-    """All real k for which the radicand is a perfect square, ascending.
+def _branch_table(problem: NUProblem, rel_tol: float) -> list:
+    """(k, (b+, b-)) for each real k whose radicand is a perfect square, ascending.
 
     The radicand's s-discriminant is quadratic in k; each real root is kept
     only if the resulting radicand actually passes the perfect-square check
-    (guards against cancellation noise on float input).
+    (guards against cancellation noise on float input). The half shift and
+    h^2 - sigma_tilde are formed once, and each k takes one square root.
     """
     h = problem.half_shift()
     base = h * h - problem.sigma_tilde
     disc2, disc1, disc0 = _k_discriminant_coeffs(base, problem.sigma)
-    roots = _quad_real_roots(disc2, disc1, disc0, rel_tol)
-    out = []
-    for k in roots:
+    table = []
+    for k in _quad_real_roots(disc2, disc1, disc0, rel_tol):
         try:
-            perfect_square_root(problem.radicand(k), rel_tol)
+            q = perfect_square_root(base + problem.sigma * k, rel_tol)
         except NotAPerfectSquare:
             continue
-        out.append(k)
-    if not out:
+        table.append((k, _pair(problem, h, k, q)))
+    if not table:
         raise NoRealK("no k root survives the perfect-square check")
-    return out
+    return table
+
+
+def candidate_k(problem: NUProblem, rel_tol: float = 1e-9) -> list:
+    """All real k for which the radicand is a perfect square, ascending."""
+    return [k for k, _ in _branch_table(problem, rel_tol)]
 
 
 def _k_discriminant_coeffs(base: Poly, sigma: Poly):
@@ -214,17 +230,19 @@ def _k_discriminant_coeffs(base: Poly, sigma: Poly):
     return disc.coefficient(2), disc.coefficient(1), disc.coefficient(0)
 
 
+def _pair(problem: NUProblem, h: Poly, k: Scalar, q: Poly) -> tuple[NUBranch, NUBranch]:
+    """pi = h + q and pi = h - q at k, with their tau and lambda_bar."""
+    out = []
+    for sign, pi in ((1, h + q), (-1, h - q)):
+        tau = problem.tau_tilde + pi * 2
+        out.append(NUBranch(k=k, sign=sign, pi=pi, tau=tau, lambda_bar=k + pi.coefficient(1)))
+    return tuple(out)
+
+
 def branches(problem: NUProblem, k: Scalar, rel_tol: float = 1e-9) -> tuple[NUBranch, NUBranch]:
     """Both sign choices of pi at a given k, plus branch first."""
     q = perfect_square_root(problem.radicand(k), rel_tol)
-    h = problem.half_shift()
-    out = []
-    for sign in (1, -1):
-        pi = h + q if sign > 0 else h - q
-        tau = problem.tau_tilde + pi * 2
-        lam_bar = k + pi.coefficient(1)
-        out.append(NUBranch(k=k, sign=sign, pi=pi, tau=tau, lambda_bar=lam_bar))
-    return tuple(out)
+    return _pair(problem, problem.half_shift(), k, q)
 
 
 def select_physical(candidates: Sequence[NUBranch]) -> NUBranch:
@@ -258,8 +276,7 @@ def classify(problem: NUProblem) -> Family:
         return Family.HERMITE
     if d == 1:
         return Family.LAGUERRE
-    a, b, c = (problem.sigma.coefficient(i) for i in (2, 1, 0))
-    disc = b * b - 4 * a * c
+    disc = quad_discriminant(problem.sigma)
     if disc > 0:
         return Family.JACOBI
     raise UnclassifiedSigma(f"sigma discriminant {disc} is not positive")
@@ -273,8 +290,8 @@ def sigma_roots(problem: NUProblem) -> tuple:
     if fam is Family.LAGUERRE:
         c1, c0 = problem.sigma.coefficient(1), problem.sigma.coefficient(0)
         return (-c0 / c1,)
-    a, b, c = (problem.sigma.coefficient(i) for i in (2, 1, 0))
-    disc = b * b - 4 * a * c
+    a, b = problem.sigma.coefficient(2), problem.sigma.coefficient(1)
+    disc = quad_discriminant(problem.sigma)
     if isinstance(disc, Fraction) or isinstance(disc, int):
         s = _exact_sqrt(Fraction(disc))
         if s is not None:
@@ -295,11 +312,6 @@ def quantization(problem: NUProblem, branch: NUBranch) -> Quantization:
         linear=-tau1 + half_sig2,
         quadratic=-half_sig2,
     )
-
-
-def quantize(problem: NUProblem, branch: NUBranch, n: int) -> Scalar:
-    """lambda_bar required for a degree-n polynomial solution."""
-    return quantization(problem, branch).evaluate(n)
 
 
 def phi_parameters(problem: NUProblem, branch: NUBranch) -> PhiFactor:
@@ -362,40 +374,36 @@ def _admissible(problem: NUProblem, branch: NUBranch, phi: PhiFactor, tol: float
 def solution_chain(problem: NUProblem, rel_tol: float = 1e-9) -> Chain:
     """Pick the bound-state reduction among every k and sign choice.
 
-    tau' < 0 alone does not single out a branch (typically each k owns one
+    Each branch is built once, and `Chain.branches` keeps them all. tau' < 0
+    alone does not single out a branch (typically each k owns one
     decreasing-tau branch), so the chain additionally requires phi to be an
-    admissible weight factor. Distinct survivors beyond the first trigger a
-    DegeneracyWarning and the larger lambda_bar is kept, mirroring
-    `select_physical`.
+    admissible weight factor; phi is computed once per decreasing-tau branch.
+    Distinct survivors beyond the first trigger a DegeneracyWarning and the
+    larger lambda_bar is kept, mirroring `select_physical`.
+
+    Raises NoPhysicalBranch, listing every branch's tau', when none survives.
     """
     fam = classify(problem)
-    cands = candidate_k(problem, rel_tol)
-    admissible: list[NUBranch] = []
-    for k in cands:
-        try:
-            pair = branches(problem, k, rel_tol)
-        except NotAPerfectSquare:
-            continue
-        for b in pair:
-            if not b.physical:
-                continue
-            if _admissible(problem, b, phi_parameters(problem, b), rel_tol):
-                admissible.append(b)
-    seen = set()
-    distinct = []
-    for b in admissible:
-        key = (float(b.k), b.pi.values)  # same pi at the same k is the same branch
-        if key not in seen:
-            seen.add(key)
-            distinct.append(b)
-    if not distinct:
-        raise NoPhysicalBranch("no admissible decreasing-tau branch among k candidates")
-    branch = distinct[0] if len(distinct) == 1 else select_physical(distinct)
+    table = _branch_table(problem, rel_tol)
+    all_branches = tuple(b for _, pair in table for b in pair)
+    found = {}  # same pi at the same k is the same branch
+    for b in all_branches:
+        if b.physical:
+            phi = phi_parameters(problem, b)
+            if _admissible(problem, b, phi, rel_tol):
+                found.setdefault((float(b.k), b.pi.values), (b, phi))
+    if not found:
+        raise NoPhysicalBranch("; ".join(
+            f"k = {b.k}, sign {'+' if b.sign > 0 else '-'}: tau' = {b.tau_prime}"
+            for b in all_branches))
+    branch = select_physical([b for b, _ in found.values()])
+    phi = next(p for b, p in found.values() if b is branch)
     return Chain(
         problem=problem,
         family=fam,
-        candidates=tuple(cands),
+        candidates=tuple(k for k, _ in table),
+        branches=all_branches,
         branch=branch,
-        phi=phi_parameters(problem, branch),
+        phi=phi,
         quantization=quantization(problem, branch),
     )

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DegreeError, NotAPerfectSquare
+from .errors import DegreeError, DomainError, NotAPerfectSquare
 
 Scalar = Union[int, float, Fraction]
 
@@ -52,7 +52,10 @@ class Poly:
             while len(fr) > 1 and fr[-1] == 0:
                 fr.pop()
             self.exact = tuple(fr)
-            self.values = tuple(float(c) for c in fr)
+            try:
+                self.values = tuple(float(c) for c in fr)
+            except OverflowError:
+                raise DomainError("an exact coefficient is beyond float range") from None
         else:
             fl = [float(c) for c in items]
             while len(fl) > 1 and fl[-1] == 0.0:
@@ -170,8 +173,9 @@ def perfect_square_root(p: Poly, rel_tol: float = 1e-9) -> Poly:
 
     if p.exact is not None:
         a, b, c = (p.coefficient(i) for i in (2, 1, 0))
-        if b * b != 4 * a * c:
-            raise NotAPerfectSquare(f"discriminant {b * b - 4 * a * c} != 0")
+        disc = quad_discriminant(p)
+        if disc != 0:
+            raise NotAPerfectSquare(f"discriminant {disc} != 0")
         if a > 0:
             sa = _exact_sqrt(a)
             if sa is not None:

@@ -21,10 +21,8 @@ from kgring import (
     UnboundEnergy,
     angular_mode,
     angular_wavefunction,
-    azimuthal_wavefunction,
     effective_l,
     nonrel_limit_check,
-    potential_value,
     radial_energy,
     radial_mode,
     radial_nu_problem,
@@ -32,7 +30,7 @@ from kgring import (
     solve_bound_state,
 )
 from kgring.bound_states import _fixed_point_map
-from kgring.nu import quantize, solution_chain
+from kgring.nu import quantization, solution_chain
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,24 +67,6 @@ class TestParams:
             QuantumNumbers(0, -2, 0)
         with pytest.raises(DomainError):
             QuantumNumbers(0, 0, 1.5)
-
-
-class TestPotentialValue:
-    def test_literal_form(self):
-        p = PotentialParams(alpha=-2.0, beta=0.5, gamma=0.25, mass=1.0)
-        r, th = 2.0, math.pi / 3.0
-        s, c = math.sin(th), math.cos(th)
-        expect = -2.0 / r + (0.5 + 0.25 * c) / (r * r * s * s)
-        assert potential_value(p, r, th) == pytest.approx(expect, rel=1e-15)
-
-    def test_domain(self):
-        p = PotentialParams(alpha=1.0, beta=0.0, gamma=0.0, mass=1.0)
-        with pytest.raises(DomainError):
-            potential_value(p, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            potential_value(p, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            potential_value(p, 1.0, math.pi)
 
 
 class TestEffectiveL:
@@ -246,7 +226,7 @@ class TestSolveBoundState:
         st = solve_bound_state(p, QuantumNumbers(2, 1, 1), tol=1e-14)
         prob = radial_nu_problem(st.params, st.energy, st.separation_lambda)
         chain = solution_chain(prob)
-        want = quantize(prob, chain.branch, 2)
+        want = quantization(prob, chain.branch).evaluate(2)
         assert float(chain.branch.lambda_bar) == pytest.approx(float(want), rel=1e-9)
 
     def test_quantization_consistency_angular(self):
@@ -255,7 +235,7 @@ class TestSolveBoundState:
         st = solve_bound_state(self.ring(), QuantumNumbers(0, 2, 1))
         prob = angular_nu_problem(st.params, st.energy, 1, st.separation_lambda)
         chain = solution_chain(prob)
-        want = quantize(prob, chain.branch, 2)
+        want = quantization(prob, chain.branch).evaluate(2)
         assert float(chain.branch.lambda_bar) == pytest.approx(float(want), rel=1e-9)
 
 
@@ -683,14 +663,6 @@ class TestWavefunctions:
             angular_mode(0, 1.0, 2.0, 0.0)  # C > B
         with pytest.raises(DomainError):
             angular_mode(0, 1.0, 0.5, 1.5)  # |x| > 1
-
-    def test_azimuthal(self):
-        phi = np.linspace(0.0, 2.0 * math.pi, 7)
-        vals = azimuthal_wavefunction(2, phi)
-        assert np.abs(vals) == pytest.approx(np.full(7, 1.0 / math.sqrt(2.0 * math.pi)))
-        assert vals[0] == pytest.approx(vals[-1])  # periodic over one turn
-        with pytest.raises(DomainError):
-            azimuthal_wavefunction(0.5, 0.0)
 
 
 class TestNonrelLimit:

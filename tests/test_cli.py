@@ -1,12 +1,17 @@
 """CLI contract: byte-stable output, golden files, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgring import Coupling, PotentialParams, QuantumNumbers, solve_bound_state
 
@@ -188,15 +193,24 @@ class TestExitCodes:
         ("nu", {"--mass": "1e400"}, b"--mass"),
         ("nu", {"--epsilon": "1e400"}, b"--epsilon"),
         ("nu", {"--lambda": "-1e400"}, b"--lambda"),
+        # an irrational k whose float overflows (m = 1e40 still works)
+        ("nu", {"--target": "angular", "--m": str(10**80)}, b"float range"),
+        # a float-track rule at a degree beyond float range
+        ("nu", {"--alpha": "1", "--beta": "0", "--gamma": "0", "--lambda": "-1/8",
+                "--degree": str(10**400)}, b"float range"),
+        # an exact lambda_bar_n with more digits than int -> str converts
+        ("nu", {"--alpha": "0", "--beta": "2", "--gamma": "2", "--epsilon": "1",
+                "--target": "angular", "--m": "1", "--lambda": "20",
+                "--degree": str(10**2200)}, b"too long to print"),
         ("spectrum", {"--mass": "1e300"}, b"mass"),
         ("verify", {"--mass": "1e300"}, b"mass"),
         ("wavefunction", {"--mass": "1e300"}, b"mass"),
         ("spectrum", {"--alpha": "1e200", "--beta": "0", "--gamma": "0"}, b"alpha"),
     ])
     def test_beyond_float_range(self, command, given, name):
-        # finite literals whose floats overflow, alone or inside the solver:
-        # exit 1 with a DomainError, not a traceback, a NoConvergence row
-        # after the whole budget or a NaN energy marked converged
+        # finite literals whose floats overflow, alone or inside the solver or
+        # the reduction: exit 1 with a DomainError, not a traceback, a
+        # NoConvergence row after the whole budget or a NaN energy marked converged
         values = {"--alpha": "0.2", "--beta": "0.05", "--gamma": "0.02", "--mass": "1"}
         values.update({"nu": {"--target": "radial", "--epsilon": "0", "--lambda": "2"},
                        "wavefunction": {"--N": "0", "--n": "0", "--m": "0"}}.get(command, {}))
@@ -387,6 +401,17 @@ class TestInProcess:
             fresh = run_cli(*argv, env={"COLUMNS": "80"})
             assert self.run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
+    def test_degeneracy_warning_on_every_call(self, capsys):
+        # one plain stderr line per call, as a fresh process prints it, not a
+        # Python warning with a source path shown once per process
+        argv = ("nu", "reduce", "--target=radial", "--alpha=1", "--beta=0", "--gamma=0",
+                "--mass=1", "--epsilon=0", "--lambda=-1/8")
+        fresh = run_cli(*argv)
+        assert fresh.stderr == (b"kgring: warning: multiple branches have tau' < 0; "
+                                b"taking the larger lambda_bar\n")
+        for _ in range(2):
+            assert self.run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
     @staticmethod
     def direct_spectrum_record(params, N, n, m):
         """A spectrum row from a solve of its own (N, n, m)."""
@@ -438,3 +463,55 @@ class TestInProcess:
             N, n, m = r["N"], r["n"], r["m"]
             own = solve_bound_state(params, QuantumNumbers(N, n, m))
             assert r == _verify_record(own, N, n, m, params, args, grid)
+
+
+# literals at and beyond the edges of float range and of int -> str conversion
+_EXTREME_SCALARS = (
+    "0", "-1", "2.5", "5e-324", "1e-400", "1e308", "-1e308", "1e400", "-1e400", "nan",
+    "inf", "-inf", "7" * 300 + "/3", "1/" + "9" * 3000, "-" + "1" * 2000 + "/" + "3" * 2000,
+)
+_FLAGS = ("alpha", "beta", "gamma", "mass", "epsilon", "lambda")
+_M = st.sampled_from((10**40, -(10**80), 10**200, 2**1023, 10**400)) | st.integers(-3, 3)
+_DEGREE = st.sampled_from((None, -1, 10**20, 10**400, 10**2200)) | st.integers(0, 5)
+
+
+@st.composite
+def _nu_argv(draw):
+    """Ordinary rationals (mass > |epsilon|) with up to two flags made extreme."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    mass = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=12))
+    values = {"alpha": draw(small), "beta": draw(small), "gamma": draw(small), "mass": mass,
+              "epsilon": mass * draw(st.fractions(min_value=F(-9, 10), max_value=F(9, 10),
+                                                  max_denominator=12)),
+              "lambda": draw(small)}
+    values.update(draw(st.dictionaries(st.sampled_from(_FLAGS),
+                                       st.sampled_from(_EXTREME_SCALARS), max_size=2)))
+    argv = ["nu", "reduce", f"--target={draw(st.sampled_from(('radial', 'angular')))}",
+            f"--format={draw(st.sampled_from(('json', 'csv', 'text')))}",
+            f"--coupling={draw(st.sampled_from(('halved', 'full')))}", f"--m={draw(_M)}",
+            *(f"--{flag}={values[flag]}" for flag in _FLAGS)]
+    degree = draw(_DEGREE)
+    return argv if degree is None else [*argv, f"--degree={degree}"]
+
+
+class TestNuReduceContract:
+    """`nu reduce` on extreme literals: a typed outcome, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(argv=_nu_argv())
+    def test_exit_codes_and_parsable_output(self, argv):
+        from kgring.cli import main
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        fmt = argv[3].removeprefix("--format=")
+        if code != 0:
+            assert out.getvalue() == ""
+        elif fmt == "json":
+            assert isinstance(json.loads(out.getvalue()), dict)
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out.getvalue())))
+            assert rows[0] == ["key", "value"] and all(len(r) == 2 for r in rows)

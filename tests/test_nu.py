@@ -14,6 +14,7 @@ from kgring.bound_states import (
 from kgring.errors import (
     DegeneracyWarning,
     DegreeError,
+    DomainError,
     NoPhysicalBranch,
     NoRealK,
     UnclassifiedSigma,
@@ -25,7 +26,6 @@ from kgring.nu import (
     candidate_k,
     classify,
     phi_parameters,
-    quantize,
     select_physical,
     sigma_roots,
     solution_chain,
@@ -98,11 +98,32 @@ class TestRadialChain:
         assert chain.branch.sign == -1
         assert chain.branch.lambda_bar == 6
 
+    def test_chain_keeps_every_branch(self):
+        # both signs per candidate, + first, equal to a fresh per-k build;
+        # the selected branch and its phi are among them, built once
+        chain = solution_chain(radial_case())
+        assert chain.branches == (*branches(radial_case(), F(9)), *branches(radial_case(), F(27)))
+        assert [(b.k, b.sign) for b in chain.branches] == [(9, 1), (9, -1), (27, 1), (27, -1)]
+        assert any(b is chain.branch for b in chain.branches)
+        assert chain.phi == phi_parameters(radial_case(), chain.branch)
+
+    def test_float_rule_beyond_float_range(self):
+        # exact rules take any degree; a float one cannot, and says so
+        q = solution_chain(radial_case()).quantization
+        assert q.evaluate(10**400) == 6 * 10**400
+        p = PotentialParams(alpha=1, beta=0, gamma=0, mass=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            fq = solution_chain(radial_nu_problem(p, 0, F(-1, 8))).quantization
+        assert isinstance(fq.linear, float)
+        with pytest.raises(DomainError, match="float range"):
+            fq.evaluate(10**400)
+
     def test_quantization_rule(self):
         chain = solution_chain(radial_case())
         q = chain.quantization
         assert (q.constant, q.linear, q.quadratic) == (0, 6, 0)
-        assert quantize(radial_case(), chain.branch, 2) == 12
+        assert q.evaluate(2) == 12
         # lambda_bar matches a degree-1 polynomial: the (N=1, l=1) level of
         # the eps=4 coupling
         assert chain.branch.lambda_bar == q.evaluate(1)
@@ -167,6 +188,9 @@ class TestDegenerateLegendre:
             chain = solution_chain(self.problem())
         assert chain.branch.tau == Poly([0, -2])
         assert chain.branch.lambda_bar == 2
+        # the dedupe picks one, but Chain.branches still lists both signs
+        assert [(b.sign, b.pi) for b in chain.branches] == [(1, Poly([0])), (-1, Poly([0]))]
+        assert chain.branch is chain.branches[0]
         q = chain.quantization
         assert (q.constant, q.linear, q.quadratic) == (0, 1, 1)
         assert q.evaluate(1) == 2  # lam = l(l+1) at l = 1
@@ -215,8 +239,16 @@ class TestFailureModes:
         assert ks == [1]
         pair = branches(prob, ks[0])
         assert [b.tau_prime for b in pair] == [0, 0]
-        with pytest.raises(NoPhysicalBranch):
+        # the message lists every branch's tau', so no caller rebuilds them
+        with pytest.raises(NoPhysicalBranch) as info:
             solution_chain(prob)
+        assert str(info.value) == "k = 1, sign +: tau' = 0; k = 1, sign -: tau' = 0"
+
+    def test_k_condition_beyond_float_range(self):
+        # m = 1e80 leaves an irrational k whose float overflows: typed error
+        p = PotentialParams(alpha=1, beta=F(1, 3), gamma=F(1, 7), mass=1)
+        with pytest.raises(DomainError, match="float range"):
+            solution_chain(angular_nu_problem(p, 0, 10**80, 2))
 
     def test_no_real_k(self):
         # constant radicand: the k-condition degenerates to 0 = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kgring.errors import DegreeError, NotAPerfectSquare
+from kgring.errors import DegreeError, DomainError, NotAPerfectSquare
 from kgring.polynomials import Poly, format_poly, perfect_square_root, quad_discriminant
 
 F = Fraction
@@ -32,6 +32,14 @@ class TestConstruction:
         p = Poly([0.5, 3])
         assert not p.is_exact
         assert p.exact is None
+
+    def test_exact_coefficient_beyond_float_range(self):
+        # the float track cannot hold it: a typed error, not an OverflowError
+        with pytest.raises(DomainError):
+            Poly([1, 10**400])
+        with pytest.raises(DomainError):
+            Poly([F(-(10**400), 3)])
+        assert Poly([F(1, 10**400)]).values == (0.0,)  # underflow is fine
 
     def test_coefficient_beyond_degree(self):
         p = Poly([1, 2])
