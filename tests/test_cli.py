@@ -193,6 +193,10 @@ class TestExitCodes:
         ("nu", {"--mass": "1e400"}, b"--mass"),
         ("nu", {"--epsilon": "1e400"}, b"--epsilon"),
         ("nu", {"--lambda": "-1e400"}, b"--lambda"),
+        ("spectrum", {"--mass": "1e300"}, b"mass"),
+        ("verify", {"--mass": "1e300"}, b"mass"),
+        ("wavefunction", {"--mass": "1e300"}, b"mass"),
+        ("spectrum", {"--alpha": "1e200", "--beta": "0", "--gamma": "0"}, b"alpha"),
         # an irrational k whose float overflows (m = 1e40 still works)
         ("nu", {"--target": "angular", "--m": str(10**80)}, b"float range"),
         # a float-track rule at a degree beyond float range
@@ -202,10 +206,6 @@ class TestExitCodes:
         ("nu", {"--alpha": "0", "--beta": "2", "--gamma": "2", "--epsilon": "1",
                 "--target": "angular", "--m": "1", "--lambda": "20",
                 "--degree": str(10**2200)}, b"too long to print"),
-        ("spectrum", {"--mass": "1e300"}, b"mass"),
-        ("verify", {"--mass": "1e300"}, b"mass"),
-        ("wavefunction", {"--mass": "1e300"}, b"mass"),
-        ("spectrum", {"--alpha": "1e200", "--beta": "0", "--gamma": "0"}, b"alpha"),
     ])
     def test_beyond_float_range(self, command, given, name):
         # finite literals whose floats overflow, alone or inside the solver or
