@@ -132,39 +132,28 @@ class AngularSolution:
         return self.l_eff * (self.l_eff + 1)
 
 
-def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int,
-                scale: Scalar = 1) -> AngularSolution:
+def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularSolution:
     """Effective angular momentum l_eff = n + B for the polar equation.
 
-    The ring strengths are b = scale * beta_eff and g = scale * gamma_eff
-    (scale >= 0; the solver passes c(eps) with the bare beta, gamma).
-    Requires m^2 + b >= |g| (else the root pair B, C turns complex and
-    ComplexU is raised). u^2 = (m^2 + b)^2 - g^2 is formed as
-    (m^2 + scale (beta_eff - |gamma_eff|)) (m^2 + b + |g|): the difference is
-    taken before scaling and nothing is squared, so near the edge u keeps the
-    digits that squaring and subtracting would cancel. Results stay exact for
-    exact inputs whose square roots are rational.
+    Requires m^2 + beta_eff >= |gamma_eff| (else the root pair B, C turns
+    complex and ComplexU is raised). Results stay exact for exact inputs
+    whose square roots are rational.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise DomainError(f"m must be an int, got {m!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"n must be a non-negative int, got {n!r}")
-    if not scale >= 0:
-        raise DomainError(f"scale must be non-negative, got {scale}")
+    mm = m * m + beta_eff
     gabs = -gamma_eff if gamma_eff < 0 else gamma_eff
-    mm = m * m + scale * beta_eff
-    ge = scale * gabs
-    gap = m * m + scale * (beta_eff - gabs)
-    if gap < 0:
-        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {ge}")
-    u = _maybe_sqrt(gap * (mm + ge))
+    if mm < gabs:
+        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(gamma_eff)}")
+    u = _maybe_sqrt(mm * mm - gamma_eff * gamma_eff)
     B = _maybe_sqrt((mm + u) / 2)
     # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
     # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0
-    C = ge / (2 * B) if ge != 0 and B != 0 else B * 0
+    C = gabs / (2 * B) if gabs != 0 and B != 0 else B * 0
     return AngularSolution(
-        m=m, n=n, beta_eff=scale * beta_eff, gamma_eff=scale * gamma_eff,
-        u=u, B=B, C=C, l_eff=B + n,
+        m=m, n=n, beta_eff=beta_eff, gamma_eff=gamma_eff, u=u, B=B, C=C, l_eff=B + n
     )
 
 
@@ -287,26 +276,23 @@ def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
     """The solver's eps -> g(eps) on floats.
 
     The same IEEE operations, in the same order, as
-    float(radial_energy(N + n, effective_l(m, beta, gamma, n, scale=c).B,
-    strength, mass)) with c = factor (eps + mass), and ComplexU on the same inputs;
+    float(radial_energy(N + n, effective_l(m, c beta, c gamma, n).B, strength,
+    mass)) with c = factor (eps + mass), and ComplexU on the same inputs;
     only the argument checks, the exact-root probes and the AngularSolution
     are left out. n' = (N + n + 1) + B rounds once, so the map depends on
     N and n only through N + n.
     """
     mm0 = m * m
-    gabs = abs(gamma)
-    diff = beta - gabs
     q = strength * strength / 4
     shift = N + n + 1
 
     def g(eps: float) -> float:
         c = factor * (eps + mass)
         mm = mm0 + c * beta
-        ge = c * gabs
-        gap = mm0 + c * diff
-        if gap < 0:
-            raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {ge}")
-        u = math.sqrt(gap * (mm + ge))
+        ge = c * gamma
+        if mm < abs(ge):
+            raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(ge)}")
+        u = math.sqrt(mm * mm - ge * ge)
         npr = shift + math.sqrt((mm + u) / 2)
         npr2 = npr * npr
         return mass * (npr2 - q) / (npr2 + q)
@@ -322,7 +308,7 @@ def _level_state(params: PotentialParams, numbers: QuantumNumbers, eps: float,
         ang = effective_l(numbers.m, 0, 0, numbers.n)  # exact: B = |m|
     else:
         c = params.coupling_factor * (eps + float(params.mass))
-        ang = effective_l(numbers.m, beta, gamma, numbers.n, scale=c)
+        ang = effective_l(numbers.m, c * beta, c * gamma, numbers.n)
     return BoundState(params, numbers, eps, ang, iterations, True, residual)
 
 

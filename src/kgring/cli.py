@@ -513,7 +513,11 @@ def cmd_nu_reduce(args) -> int:
     emit = {"text": _nu_text, "csv": _nu_csv, "json": _emit_json}[args.format]
     try:
         text = emit(_nu_payload(chain, var, args.target, args.degree, lambda_bar_n))
-    except ValueError as exc:  # int -> str past sys.get_int_max_str_digits()
+    except ValueError as exc:
+        # only int -> str past sys.get_int_max_str_digits(); any other
+        # ValueError (a DomainError included) keeps its own message
+        if "integer string conversion" not in str(exc):
+            raise
         raise DomainError(f"an exact value is too long to print: {exc}") from None
     sys.stdout.write(text)
     return 0

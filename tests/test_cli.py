@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgring import Coupling, PotentialParams, QuantumNumbers, solve_bound_state
+from kgring import Coupling, DomainError, PotentialParams, QuantumNumbers, solve_bound_state
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -411,6 +411,24 @@ class TestInProcess:
                                 b"taking the larger lambda_bar\n")
         for _ in range(2):
             assert self.run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    @pytest.mark.parametrize("exc, code, err", [
+        (DomainError("bad payload"), 1, b"kgring: error: bad payload\n"),
+        (ValueError("not a digit limit"), None, None),
+    ])
+    def test_payload_errors_keep_their_message(self, capsys, monkeypatch, exc, code, err):
+        # only the int -> str digit limit reads "too long to print"
+        import kgring.cli
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(kgring.cli, "_nu_payload", fail)
+        if code is None:
+            with pytest.raises(ValueError, match="not a digit limit"):
+                self.run(capsys, *NU_RADIAL)
+        else:
+            assert self.run(capsys, *NU_RADIAL) == (code, b"", err)
 
     @staticmethod
     def direct_spectrum_record(params, N, n, m):
