@@ -132,6 +132,32 @@ class AngularSolution:
         return self.l_eff * (self.l_eff + 1)
 
 
+def _polar_root(m2: int, c: Scalar, beta: Scalar, gamma: Scalar) -> tuple[Scalar, Scalar]:
+    """(u, B) of the polar equation at ring strengths c beta, c gamma.
+
+    ComplexU unless m^2 + c beta >= |c gamma|. Exact inputs stay exact where
+    the square roots are rational; floats take math.sqrt.
+    """
+    mm = m2 + c * beta
+    ge = c * gamma
+    if mm < abs(ge):
+        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(ge)}")
+    u = _maybe_sqrt(mm * mm - ge * ge)
+    return u, _maybe_sqrt((mm + u) / 2)
+
+
+def _angular_solution(m: int, n: int, c: Scalar, beta: Scalar, gamma: Scalar) -> AngularSolution:
+    """Polar eigendata at ring strengths beta_eff = c beta, gamma_eff = c gamma."""
+    u, B = _polar_root(m * m, c, beta, gamma)
+    beta_eff, gamma_eff = c * beta, c * gamma
+    # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
+    # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0
+    C = abs(gamma_eff) / (2 * B) if gamma_eff != 0 and B != 0 else B * 0
+    return AngularSolution(
+        m=m, n=n, beta_eff=beta_eff, gamma_eff=gamma_eff, u=u, B=B, C=C, l_eff=B + n
+    )
+
+
 def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularSolution:
     """Effective angular momentum l_eff = n + B for the polar equation.
 
@@ -143,18 +169,7 @@ def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularS
         raise DomainError(f"m must be an int, got {m!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"n must be a non-negative int, got {n!r}")
-    mm = m * m + beta_eff
-    gabs = -gamma_eff if gamma_eff < 0 else gamma_eff
-    if mm < gabs:
-        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(gamma_eff)}")
-    u = _maybe_sqrt(mm * mm - gamma_eff * gamma_eff)
-    B = _maybe_sqrt((mm + u) / 2)
-    # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
-    # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0
-    C = gabs / (2 * B) if gabs != 0 and B != 0 else B * 0
-    return AngularSolution(
-        m=m, n=n, beta_eff=beta_eff, gamma_eff=gamma_eff, u=u, B=B, C=C, l_eff=B + n
-    )
+    return _angular_solution(m, n, 1, beta_eff, gamma_eff)
 
 
 def radial_energy(N: int, l_eff: Scalar, alpha: Scalar, mass: Scalar) -> Scalar:
@@ -275,25 +290,17 @@ def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
                      factor: int, strength: float, mass: float):
     """The solver's eps -> g(eps) on floats.
 
-    The same IEEE operations, in the same order, as
-    float(radial_energy(N + n, effective_l(m, c beta, c gamma, n).B, strength,
-    mass)) with c = factor (eps + mass), and ComplexU on the same inputs;
-    only the argument checks, the exact-root probes and the AngularSolution
-    are left out. n' = (N + n + 1) + B rounds once, so the map depends on
-    N and n only through N + n.
+    g(eps) = radial_energy(N + n, B, strength, mass) with B from `_polar_root`
+    at c = factor (eps + mass), the root every state's AngularSolution is
+    built from; ComplexU where that root is. n' = (N + n + 1) + B rounds
+    once, so the map depends on N and n only through N + n.
     """
-    mm0 = m * m
+    m2 = m * m
     q = strength * strength / 4
     shift = N + n + 1
 
     def g(eps: float) -> float:
-        c = factor * (eps + mass)
-        mm = mm0 + c * beta
-        ge = c * gamma
-        if mm < abs(ge):
-            raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(ge)}")
-        u = math.sqrt(mm * mm - ge * ge)
-        npr = shift + math.sqrt((mm + u) / 2)
+        npr = shift + _polar_root(m2, factor * (eps + mass), beta, gamma)[1]
         npr2 = npr * npr
         return mass * (npr2 - q) / (npr2 + q)
 
@@ -305,10 +312,10 @@ def _level_state(params: PotentialParams, numbers: QuantumNumbers, eps: float,
     """The converged state of `numbers` at the self-consistent energy eps."""
     beta, gamma = float(params.beta), float(params.gamma)
     if beta == 0.0 and gamma == 0.0:
-        ang = effective_l(numbers.m, 0, 0, numbers.n)  # exact: B = |m|
+        ang = _angular_solution(numbers.m, numbers.n, 1, 0, 0)  # exact: B = |m|
     else:
         c = params.coupling_factor * (eps + float(params.mass))
-        ang = effective_l(numbers.m, c * beta, c * gamma, numbers.n)
+        ang = _angular_solution(numbers.m, numbers.n, c, beta, gamma)
     return BoundState(params, numbers, eps, ang, iterations, True, residual)
 
 
@@ -352,12 +359,10 @@ def solve_bound_state(
     the evaluations of g behind a converged state, across both phases;
     convergence means residual <= tol * mass.
 
-    g is evaluated by `_fixed_point_map`, a float-only copy of
-    `effective_l` followed by `radial_energy` (bit for bit the same value)
-    that depends on N and n only through N + n, so every (N, n) of a level
-    gets the same energy, iterations and residual. The loop builds no
-    `AngularSolution`; the state's one is built by `effective_l` at the
-    returned energy.
+    g is evaluated by `_fixed_point_map`, which depends on N and n only
+    through N + n, so every (N, n) of a level gets the same energy,
+    iterations and residual. The loop builds no `AngularSolution`; the
+    state's one is built from the same `_polar_root` at the returned energy.
     """
     if not (isinstance(max_iter, int) and max_iter >= 2):
         raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
