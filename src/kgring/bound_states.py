@@ -135,14 +135,18 @@ class AngularSolution:
 def _polar_root(m2: int, c: Scalar, beta: Scalar, gamma: Scalar) -> tuple[Scalar, Scalar]:
     """(u, B) of the polar equation at ring strengths c beta, c gamma.
 
-    ComplexU unless m^2 + c beta >= |c gamma|. Exact inputs stay exact where
-    the square roots are rational; floats take math.sqrt.
+    u^2 = (m^2 + c beta)^2 - (c gamma)^2 is formed as
+    (m^2 + c (beta - |gamma|)) (m^2 + c beta + c |gamma|), so near the
+    ComplexU edge, where the first factor is ComplexU's test, nothing cancels
+    after a rounding. Exact inputs stay exact where the square roots are
+    rational; floats take math.sqrt.
     """
+    gabs = abs(gamma)
+    gap = m2 + c * (beta - gabs)
+    if gap < 0:
+        raise ComplexU(f"m^2 + beta_eff - |gamma_eff| = {gap} < 0")
     mm = m2 + c * beta
-    ge = c * gamma
-    if mm < abs(ge):
-        raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(ge)}")
-    u = _maybe_sqrt(mm * mm - ge * ge)
+    u = _maybe_sqrt(gap * (mm + c * gabs))
     return u, _maybe_sqrt((mm + u) / 2)
 
 
