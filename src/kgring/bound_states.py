@@ -133,14 +133,10 @@ class AngularSolution:
 
 
 def _polar_root(m2: int, c: Scalar, beta: Scalar, gamma: Scalar) -> tuple[Scalar, Scalar]:
-    """(u, B) of the polar equation at ring strengths c beta, c gamma.
-
-    u^2 = (m^2 + c beta)^2 - (c gamma)^2 is formed as
-    (m^2 + c (beta - |gamma|)) (m^2 + c beta + c |gamma|), so near the
-    ComplexU edge, where the first factor is ComplexU's test, nothing cancels
-    after a rounding. Exact inputs stay exact where the square roots are
-    rational; floats take math.sqrt.
-    """
+    """(u, B) of the polar equation at ring strengths c beta, c gamma, with u^2
+    formed as (m^2 + c (beta - |gamma|)) (m^2 + c beta + c |gamma|): nothing
+    cancels near the ComplexU edge, where the first factor turns negative.
+    Exact inputs stay exact where the square roots are rational."""
     gabs = abs(gamma)
     gap = m2 + c * (beta - gabs)
     if gap < 0:
@@ -153,13 +149,11 @@ def _polar_root(m2: int, c: Scalar, beta: Scalar, gamma: Scalar) -> tuple[Scalar
 def _angular_solution(m: int, n: int, c: Scalar, beta: Scalar, gamma: Scalar) -> AngularSolution:
     """Polar eigendata at ring strengths beta_eff = c beta, gamma_eff = c gamma."""
     u, B = _polar_root(m * m, c, beta, gamma)
-    beta_eff, gamma_eff = c * beta, c * gamma
+    gamma_eff = c * gamma
     # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
     # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0
     C = abs(gamma_eff) / (2 * B) if gamma_eff != 0 and B != 0 else B * 0
-    return AngularSolution(
-        m=m, n=n, beta_eff=beta_eff, gamma_eff=gamma_eff, u=u, B=B, C=C, l_eff=B + n
-    )
+    return AngularSolution(m, n, c * beta, gamma_eff, u, B, C, B + n)
 
 
 def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularSolution:
@@ -292,21 +286,16 @@ class BoundState:
 
 def _fixed_point_map(N: int, n: int, m: int, beta: float, gamma: float,
                      factor: int, strength: float, mass: float):
-    """The solver's eps -> g(eps) on floats.
-
-    g(eps) = radial_energy(N + n, B, strength, mass) with B from `_polar_root`
-    at c = factor (eps + mass), the root every state's AngularSolution is
-    built from; ComplexU where that root is. n' = (N + n + 1) + B rounds
-    once, so the map depends on N and n only through N + n.
+    """The solver's eps -> g(eps) on floats: `radial_energy` at the B of
+    `_polar_root` with c = factor (eps + mass), the root every state's
+    AngularSolution is built from. n' = (N + n + 1) + B rounds once, so the
+    map depends on N and n only through N + n.
     """
     m2 = m * m
-    q = strength * strength / 4
-    shift = N + n + 1
 
     def g(eps: float) -> float:
-        npr = shift + _polar_root(m2, factor * (eps + mass), beta, gamma)[1]
-        npr2 = npr * npr
-        return mass * (npr2 - q) / (npr2 + q)
+        B = _polar_root(m2, factor * (eps + mass), beta, gamma)[1]
+        return radial_energy(N + n, B, strength, mass)
 
     return g
 
@@ -315,11 +304,10 @@ def _level_state(params: PotentialParams, numbers: QuantumNumbers, eps: float,
                  iterations: int, residual: float) -> BoundState:
     """The converged state of `numbers` at the self-consistent energy eps."""
     beta, gamma = float(params.beta), float(params.gamma)
+    c = params.coupling_factor * (eps + float(params.mass))
     if beta == 0.0 and gamma == 0.0:
-        ang = _angular_solution(numbers.m, numbers.n, 1, 0, 0)  # exact: B = |m|
-    else:
-        c = params.coupling_factor * (eps + float(params.mass))
-        ang = _angular_solution(numbers.m, numbers.n, c, beta, gamma)
+        c, beta, gamma = 1, 0, 0  # exact strengths: B = |m|
+    ang = _angular_solution(numbers.m, numbers.n, c, beta, gamma)
     return BoundState(params, numbers, eps, ang, iterations, True, residual)
 
 
@@ -363,10 +351,9 @@ def solve_bound_state(
     the evaluations of g behind a converged state, across both phases;
     convergence means residual <= tol * mass.
 
-    g is evaluated by `_fixed_point_map`, which depends on N and n only
-    through N + n, so every (N, n) of a level gets the same energy,
-    iterations and residual. The loop builds no `AngularSolution`; the
-    state's one is built from the same `_polar_root` at the returned energy.
+    g is `_fixed_point_map`; it depends on N and n only through N + n, so
+    every (N, n) of a level gets the same energy, iterations and residual,
+    and the state's AngularSolution comes from the same `_polar_root`.
     """
     if not (isinstance(max_iter, int) and max_iter >= 2):
         raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
@@ -546,12 +533,15 @@ def angular_mode(n: int, B: float, C: float, x, negative_gamma: bool = False):
     a, b = Bf + Cf, Bf - Cf
     if negative_gamma:
         a, b = b, a
-    val = (
-        math.exp(_angular_log_norm(n, Bf, Cf))
-        * np.power(1.0 - xx, 0.5 * a)
-        * np.power(1.0 + xx, 0.5 * b)
-        * jacobi_poly(n, a, b, xx)
-    )
+    lognorm = _angular_log_norm(n, Bf, Cf)
+    with np.errstate(all="ignore"):
+        w = math.exp(lognorm) * np.power(1.0 - xx, 0.5 * a) * np.power(1.0 + xx, 0.5 * b)
+        if not np.all(np.isfinite(w)):
+            # at large |m| 2^(a/2) overflows and inf * 0 is nan: sum logs there (0^0 = 1)
+            logw = (lognorm + (0.5 * a * np.log(1.0 - xx) if a else 0.0)
+                    + (0.5 * b * np.log(1.0 + xx) if b else 0.0))
+            w = np.where(np.isfinite(w), w, np.exp(logw))
+    val = w * jacobi_poly(n, a, b, xx)
     return float(val) if np.ndim(x) == 0 else val
 
 

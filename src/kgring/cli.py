@@ -231,7 +231,7 @@ def _spectrum_record(level, N, n, m) -> dict:
         return {**base, "l_eff": None, "energy": None, "binding": None,
                 "iterations": 0, "converged": False, "residual": None,
                 "error": type(level).__name__}
-    # l_eff = n + B, formed as effective_l forms it
+    # l_eff = n + B, formed as the AngularSolution forms it
     return {**base, "l_eff": _canon(level.angular.B + n), "energy": _canon(level.energy),
             "binding": _canon(level.binding), "iterations": level.iterations,
             "converged": level.converged, "residual": _canon(level.residual),

@@ -132,7 +132,8 @@ def radial_numeric_energy(
         l_est = 0.5 * (math.sqrt(1.0 + 4.0 * lam) - 1.0)
         npr_est = N + l_est + 1.0
         eps0 = max(mass * (1.0 - strength * strength / (2.0 * npr_est * npr_est)), -0.9 * mass)
-        r_max = 80.0 * npr_est * npr_est / ((eps0 + mass) * strength)
+        scale = (eps0 + mass) * strength  # underflowing: _radial_level finds no float grid
+        r_max = 80.0 * npr_est * npr_est / scale if scale > 0.0 else math.inf
 
     vals: list[float] = []
     for j in range(grid.refinement + 1):

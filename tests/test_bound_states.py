@@ -622,17 +622,36 @@ class TestWavefunctions:
         v_odd = angular_wavefunction(st_odd, x)
         assert v_odd == pytest.approx(-v_odd[::-1], rel=1e-12, abs=1e-14)
 
-    def test_negative_gamma_mirror(self):
-        # flipping gamma swaps the Jacobi parameter pair, so the polar
-        # profile reflects about x = 0 up to the parity factor (-1)^n
-        plus = self.state(gamma=0.02)
-        minus = self.state(gamma=-0.02)
+    @settings(max_examples=100, deadline=None)
+    @given(qn=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
+           **TestDegeneracy.PARAMS)
+    def test_negative_gamma_mirror(self, qn, alpha, beta, tilt, mass, coupling):
+        # gamma -> -gamma keeps the level to the last bit and swaps the Jacobi
+        # parameter pair, so the polar profile reflects about x = 0 up to the
+        # parity factor (-1)^n of P_n^(a,b)(-x) = (-1)^n P_n^(b,a)(x)
+        gamma = tilt * abs(beta)
+        plus, minus = (TestDegeneracy.solve(PotentialParams(alpha, beta, g, mass, coupling), *qn)
+                       for g in (gamma, -gamma))
+        if isinstance(plus, type):
+            assert minus is plus
+            return
+        assert (minus.energy, minus.angular.B, minus.angular.C) == (
+            plus.energy, plus.angular.B, plus.angular.C)
         x = np.linspace(-1.0, 1.0, 101)
+        want = (-1.0) ** qn[1] * angular_wavefunction(plus, -x)
         assert angular_wavefunction(minus, x) == pytest.approx(
-            (-1.0) ** minus.numbers.n * angular_wavefunction(plus, -x),
-            rel=1e-11,
-            abs=1e-13,
-        )
+            want, rel=1e-11, abs=1e-13 * np.max(np.abs(want)))
+
+    def test_angular_finite_at_large_m(self):
+        # B = 3000: 2^(a/2) overflows a float, and the product of the factors
+        # read inf * 0 = nan at x = +-1; the samples stay finite, vanish at the
+        # ends and keep their unit norm
+        st = self.state(N=0, n=0, m=3000)
+        x = np.linspace(-1.0, 1.0, 2001)
+        v = angular_wavefunction(st, x)
+        assert np.all(np.isfinite(v))
+        assert v[0] == 0.0 and v[-1] == 0.0
+        assert np.trapezoid(v * v, x) == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_orthogonality_fixed_family(self):
         # common strength A = 2 kappa_N (N + l + 1), varying N

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from kgring import Coupling, DomainError, PotentialParams, QuantumNumbers, solve_bound_state
 
@@ -512,24 +512,107 @@ def _nu_argv(draw):
     return argv if degree is None else [*argv, f"--degree={degree}"]
 
 
+def _run_main(argv):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    from kgring.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestNuReduceContract:
     """`nu reduce` on extreme literals: a typed outcome, never a traceback."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(argv=_nu_argv())
     def test_exit_codes_and_parsable_output(self, argv):
-        from kgring.cli import main
-
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        code, out, _ = _run_main(argv)
         fmt = argv[3].removeprefix("--format=")
         if code != 0:
-            assert out.getvalue() == ""
+            assert out == ""
         elif fmt == "json":
-            assert isinstance(json.loads(out.getvalue()), dict)
+            assert isinstance(json.loads(out), dict)
         elif fmt == "csv":
-            rows = list(csv.reader(io.StringIO(out.getvalue())))
+            rows = list(csv.reader(io.StringIO(out)))
             assert rows[0] == ["key", "value"] and all(len(r) == 2 for r in rows)
+
+
+# float literals for the float-typed commands, at and beyond float range
+_FLOAT_EXTREMES = ("0", "-1", "5e-324", "-5e-324", "1e-400", "1e308", "-1e308", "1e400",
+                   "-1e400", "nan", "inf", "-inf")
+
+
+@st.composite
+def _float_argv(draw):
+    """`spectrum`, `verify` or `wavefunction` on tiny grids, with ordinary
+    strengths and, on two draws in three, one or two flags made extreme."""
+    command = draw(st.sampled_from(("spectrum", "verify", "wavefunction")))
+    values = {"alpha": draw(st.floats(-1.5, 1.5)), "beta": draw(st.floats(-0.5, 1.0)),
+              "gamma": draw(st.floats(-1.0, 1.0)), "mass": draw(st.floats(0.1, 10.0)),
+              "tol": 1e-12, "max-iter": 200}
+    if draw(st.integers(0, 2)):
+        values.update(draw(st.dictionaries(
+            st.sampled_from(("alpha", "beta", "gamma", "mass", "tol")),
+            st.sampled_from(_FLOAT_EXTREMES), min_size=1, max_size=2)))
+    if draw(st.integers(0, 3)) == 0:
+        values["max-iter"] = draw(st.sampled_from((0, 1, 2, 6)))
+    argv = [command, f"--format={draw(st.sampled_from(('json', 'csv')))}",
+            f"--coupling={draw(st.sampled_from(('halved', 'full')))}",
+            *(f"--{flag}={value}" for flag, value in values.items())]
+    if command == "wavefunction":
+        m = draw(st.sampled_from((3000, -4000, 5000)) | st.integers(-5000, 5000))
+        argv += [f"--N={draw(st.integers(0, 3))}", f"--n={draw(st.integers(0, 3))}", f"--m={m}",
+                 f"--samples={draw(st.integers(2, 50))}"]
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"--rmax={draw(st.sampled_from(('30', *_FLOAT_EXTREMES)))}")
+        return argv
+    argv += [f"--Nmax={draw(st.integers(0, 1))}", f"--nmax={draw(st.integers(0, 1))}",
+             f"--mmax={draw(st.integers(0, 2))}"]
+    if command == "verify":
+        argv += ["--points=100", f"--refine={draw(st.integers(0, 1))}"]
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"--vtol={draw(st.sampled_from(('1e-3', *_FLOAT_EXTREMES)))}")
+    return argv
+
+
+_NON_FINITE = {"nan", "inf", "-inf"}
+
+
+def _no_constant(name):
+    raise AssertionError(f"stdout holds the non-finite JSON token {name}")
+
+
+class TestFloatCommandContract:
+    """`spectrum`, `verify` and `wavefunction` on extreme literals: a typed
+    outcome, never a traceback, and never a non-finite number printed."""
+
+    # B = 3000: the polar factors' product once printed nan at x = +-1
+    LARGE_M = ["wavefunction", "--alpha=0.2", "--beta=0.05", "--gamma=0.02", "--mass=1",
+               "--N=0", "--n=0", "--m=3000", "--samples=5"]
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(argv=_float_argv())
+    @example(argv=[*LARGE_M[:1], "--format=json", *LARGE_M[1:]])
+    @example(argv=[*LARGE_M[:1], "--format=csv", *LARGE_M[1:]])
+    def test_exit_codes_and_parsable_output(self, argv):
+        code, out, _ = _run_main(argv)
+        event(f"{argv[0]} exit {code}")
+        if code == 1 or (code == 2 and argv[0] == "wavefunction"):
+            assert out == ""
+            return
+        fmt = argv[1].removeprefix("--format=")
+        if argv[0] == "wavefunction" and fmt == "csv":
+            meta = [ln.removeprefix("# ").split(" = ") for ln in out.splitlines() if ln[:2] == "# "]
+            assert meta and all(len(kv) == 2 and kv[1] not in _NON_FINITE for kv in meta)
+            out = out.split("\n", len(meta))[-1]
+        if fmt == "json":
+            rows = json.loads(out, parse_constant=_no_constant)
+            assert isinstance(rows, list) and all(isinstance(r, dict) for r in rows)
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert all(len(r) == len(rows[0]) for r in rows)
+            assert not _NON_FINITE & {cell for r in rows for cell in r}

@@ -102,6 +102,10 @@ class TestRadialOracle:
             radial_numeric_energy(coulomb(), -1.0, 0, GridSpec())
         with pytest.raises(DomainError):
             radial_numeric_energy(coulomb(), 2.0, -1, GridSpec())
+        # a subnormal coupling underflows the box's length scale: no float
+        # grid, not a ZeroDivisionError
+        with pytest.raises(DomainError, match="outside float range"):
+            radial_numeric_energy(PotentialParams(5e-324, 0, 0, 0.25), 0.0, 0, GridSpec())
 
 
 def scanned_radial_level(mass, strength, lam, N, r_max, npts):
