@@ -647,11 +647,10 @@ class TestWavefunctions:
         # read inf * 0 = nan at x = +-1; the samples stay finite, vanish at the
         # ends and keep their unit norm
         st = self.state(N=0, n=0, m=3000)
-        x = np.linspace(-1.0, 1.0, 2001)
-        v = angular_wavefunction(st, x)
-        assert np.all(np.isfinite(v))
-        assert v[0] == 0.0 and v[-1] == 0.0
-        assert np.trapezoid(v * v, x) == pytest.approx(1.0, abs=1e-9)
+        v = angular_wavefunction(st, np.linspace(-1.0, 1.0, 2001))
+        assert np.all(np.isfinite(v)) and v[0] == 0.0 and v[-1] == 0.0
+        x, w = np.polynomial.legendre.leggauss(400)
+        assert float(np.dot(w, angular_wavefunction(st, x) ** 2)) == pytest.approx(1.0, abs=1e-9)
 
     def test_mode_orthogonality_fixed_family(self):
         # common strength A = 2 kappa_N (N + l + 1), varying N

@@ -591,13 +591,13 @@ class TestFloatCommandContract:
     outcome, never a traceback, and never a non-finite number printed."""
 
     # B = 3000: the polar factors' product once printed nan at x = +-1
-    LARGE_M = ["wavefunction", "--alpha=0.2", "--beta=0.05", "--gamma=0.02", "--mass=1",
+    LARGE_M = ["--alpha=0.2", "--beta=0.05", "--gamma=0.02", "--mass=1",
                "--N=0", "--n=0", "--m=3000", "--samples=5"]
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(argv=_float_argv())
-    @example(argv=[*LARGE_M[:1], "--format=json", *LARGE_M[1:]])
-    @example(argv=[*LARGE_M[:1], "--format=csv", *LARGE_M[1:]])
+    @example(argv=["wavefunction", "--format=json", *LARGE_M])
+    @example(argv=["wavefunction", "--format=csv", *LARGE_M])
     def test_exit_codes_and_parsable_output(self, argv):
         code, out, _ = _run_main(argv)
         event(f"{argv[0]} exit {code}")
