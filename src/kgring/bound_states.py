@@ -41,13 +41,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy
 from .nu import NUProblem
-from .polynomials import Poly, Scalar, _exact_sqrt
+from .polynomials import Poly, Scalar, scalar_sqrt
 from .special import jacobi_poly, laguerre_assoc
 
 
@@ -73,8 +72,11 @@ class PotentialParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "mass"):
             v = getattr(self, name)
-            # ints and Fractions are finite, and float() of a huge one overflows
-            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+            try:  # ints and Fractions are finite, but every solver needs their float
+                finite = math.isfinite(v)
+            except OverflowError:
+                raise DomainError(f"{name} is beyond float range") from None
+            if not finite:
                 raise DomainError(f"{name} must be finite, got {v}")
         if not float(self.mass) > 0.0:
             raise DomainError(f"mass must be positive, got {self.mass}")
@@ -105,15 +107,6 @@ class QuantumNumbers:
             raise DomainError(f"N and n must be non-negative, got {self.N}, {self.n}")
 
 
-def _maybe_sqrt(x: Scalar) -> Scalar:
-    """sqrt(x) that stays a Fraction when it can."""
-    if isinstance(x, (int, Fraction)):
-        s = _exact_sqrt(Fraction(x))
-        if s is not None:
-            return s
-    return math.sqrt(float(x))
-
-
 @dataclass(frozen=True)
 class AngularSolution:
     """Polar eigendata at given effective ring strengths."""
@@ -142,8 +135,8 @@ def _polar_root(m2: int, c: Scalar, beta: Scalar, gamma: Scalar) -> tuple[Scalar
     if gap < 0:
         raise ComplexU(f"m^2 + beta_eff - |gamma_eff| = {gap} < 0")
     mm = m2 + c * beta
-    u = _maybe_sqrt(gap * (mm + c * gabs))
-    return u, _maybe_sqrt((mm + u) / 2)
+    u = scalar_sqrt(gap * (mm + c * gabs))
+    return u, scalar_sqrt((mm + u) / 2)
 
 
 def _angular_solution(m: int, n: int, c: Scalar, beta: Scalar, gamma: Scalar) -> AngularSolution:
@@ -348,8 +341,9 @@ def solve_bound_state(
     the feasible energy window or does not shrink the residual hands over to
     a bisection of eps - g(eps) over that window, which also classifies a
     level without a root in it (NoBoundState, ComplexU). `max_iter` bounds
-    the evaluations of g behind a converged state, across both phases;
-    convergence means residual <= tol * mass.
+    every evaluation of g, across both phases and including the window ends
+    and any that raise; a spent budget is NoConvergence, quoting the last
+    residual computed. Convergence means residual <= tol * mass.
 
     g is `_fixed_point_map`; it depends on N and n only through N + n, so
     every (N, n) of a level gets the same energy, iterations and residual,
@@ -373,8 +367,24 @@ def solve_bound_state(
             check_float_range(params, numbers)
         return _level_state(params, numbers, eps, 1, 0.0)
 
-    g = _fixed_point_map(N, n, m, beta, gamma, factor, strength, mass)
+    level_map = _fixed_point_map(N, n, m, beta, gamma, factor, strength, mass)
     fine = tol * mass
+    evals, last = 0, math.inf  # evaluations spent; the latest |eps - g(eps)|
+
+    def no_convergence() -> NoConvergence:
+        # a map that overflows cannot converge: say so, checked off the hot path
+        check_float_range(params, numbers)
+        return NoConvergence(f"residual {last:.3e} after {evals} evaluations")
+
+    def g(eps: float) -> float:
+        """The map, counted against max_iter even where it raises."""
+        nonlocal evals, last
+        if evals >= max_iter:
+            raise no_convergence()
+        evals += 1
+        g_eps = level_map(eps)
+        last = abs(eps - g_eps)
+        return g_eps
 
     # feasibility: c(eps) * (|gamma| - beta) <= m^2 bounds eps from above
     lo = -mass * (1.0 - 1e-9)
@@ -394,7 +404,6 @@ def solve_bound_state(
         From a point that already meets the tolerance this is one more
         Aitken step, kept if it meets the tolerance too.
         """
-        nonlocal evals
         done = None  # the latest (residual, eps) that meets the tolerance
         while True:
             if res == 0.0:  # a float fixed point: no step can improve it
@@ -404,7 +413,6 @@ def solve_bound_state(
             if evals >= max_iter or not lo <= gx <= hi:
                 return done
             g2 = g(gx)
-            evals += 1
             res2 = abs(gx - g2)
             if res2 == 0.0:
                 return (res2, gx)
@@ -415,7 +423,6 @@ def solve_bound_state(
             if evals >= max_iter or not lo <= nxt <= hi:
                 return done
             g_nxt = g(nxt)
-            evals += 1
             res_nxt = abs(nxt - g_nxt)
             if done is not None:
                 return (res_nxt, nxt) if res_nxt <= fine else done
@@ -426,7 +433,6 @@ def solve_bound_state(
     guess = N + abs(m) + n + 1.0
     x = min(max(mass * (1.0 - strength * strength / (2.0 * guess * guess)), lo), hi)
     gx = g(x)
-    evals = 1
     got = steffensen(x, gx, abs(x - gx))
     if got is not None:
         return _level_state(params, numbers, got[1], evals, got[0])
@@ -443,19 +449,16 @@ def solve_bound_state(
             hb = b - g(b)
             break
         except ComplexU:
-            evals += 1
             b = math.nextafter(b, lo)
     else:
         hb = b - g(b)
-    evals += 2
     if ha >= 0.0:
         raise NoBoundState(f"no self-consistent level in the window for {numbers}")
     if hb < 0.0:
         raise ComplexU("self-consistent energy runs out of the real-ring-strength window")
-    while evals < max_iter:
+    while True:
         mid = 0.5 * (a + b)
         g_mid = g(mid)
-        evals += 1
         residual = abs(mid - g_mid)
         if residual <= fine:
             got = steffensen(mid, g_mid, residual)
@@ -465,12 +468,7 @@ def solve_bound_state(
         else:
             b = mid
         if b - a <= 1e-17 * mass:
-            break
-    # a map that overflows cannot converge: say so, checked off the hot path
-    check_float_range(params, numbers)
-    raise NoConvergence(
-        f"residual {abs(0.5 * (a + b) - g(0.5 * (a + b))):.3e} after {evals} evaluations"
-    )
+            raise no_convergence()
 
 
 def _radial_log_norm(N: int, l_eff: float, kappa: float) -> float:

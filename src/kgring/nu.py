@@ -45,7 +45,7 @@ from .errors import (
     NotAPerfectSquare,
     UnclassifiedSigma,
 )
-from .polynomials import Poly, Scalar, _exact_sqrt, perfect_square_root, quad_discriminant
+from .polynomials import Poly, Scalar, perfect_square_root, quad_discriminant, scalar_sqrt
 
 _HALF = Fraction(1, 2)
 
@@ -151,46 +151,36 @@ class Chain:
 
 
 def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar, rel_tol: float) -> list:
-    """Real roots of d2 k^2 + d1 k + d0, exact when the inputs allow it."""
-    exact = all(isinstance(v, (int, Fraction)) for v in (d2, d1, d0))
-    if exact:
-        if d2 == 0:
-            if d1 == 0:
-                if d0 == 0:
-                    raise NoRealK("discriminant condition degenerates to 0 = 0")
-                raise NoRealK("discriminant condition is a nonzero constant")
-            return [Fraction(-d0, 1) / d1]
-        inner = d1 * d1 - 4 * d2 * d0
-        if inner < 0:
-            raise NoRealK(f"discriminant of the k-condition is {inner} < 0")
-        s = _exact_sqrt(Fraction(inner))
-        if s is None:
-            try:
-                sf = math.sqrt(inner)
-            except OverflowError:
-                raise DomainError("the k-condition's discriminant is beyond float range") from None
-            return sorted({(-float(d1) - sf) / (2 * float(d2)), (-float(d1) + sf) / (2 * float(d2))})
-        roots = {(-d1 - s) / (2 * d2), (-d1 + s) / (2 * d2)}
-        return sorted(roots, key=float)
+    """Real roots of d2 k^2 + d1 k + d0, exact when the inputs allow it.
 
-    f2, f1, f0 = float(d2), float(d1), float(d0)
-    scale = max(1.0, abs(f2), abs(f1), abs(f0))
-    if abs(f2) <= rel_tol * scale:
-        if abs(f1) <= rel_tol * scale:
-            if abs(f0) <= rel_tol * scale:
+    The exact track is the float one at zero tolerance; only the final pair
+    differs, where floats take the cancellation-free form.
+    """
+    exact = all(isinstance(v, (int, Fraction)) for v in (d2, d1, d0))
+    d2, d1, d0 = map(Fraction if exact else float, (d2, d1, d0))
+    scale = 0 if exact else max(1.0, abs(d2), abs(d1), abs(d0))
+    if abs(d2) <= rel_tol * scale:
+        if abs(d1) <= rel_tol * scale:
+            if abs(d0) <= rel_tol * scale:
                 raise NoRealK("discriminant condition degenerates to 0 = 0")
             raise NoRealK("discriminant condition is a nonzero constant")
-        return [-f0 / f1]
-    inner = f1 * f1 - 4.0 * f2 * f0
-    if inner < 0.0:
+        return [-d0 / d1]
+    inner = d1 * d1 - 4 * d2 * d0
+    if inner < 0:
         if inner < -rel_tol * scale * scale:
-            raise NoRealK(f"discriminant of the k-condition is {inner:g} < 0")
-        inner = 0.0
-    if inner == 0.0:
-        return [-f1 / (2.0 * f2)]
-    s = math.sqrt(inner)
-    q = -(f1 + math.copysign(s, f1)) / 2.0
-    return sorted({q / f2, f0 / q})
+            shown = inner if exact else format(inner, "g")
+            raise NoRealK(f"discriminant of the k-condition is {shown} < 0")
+        inner = 0.0  # float rounding just below zero
+    if inner == 0:
+        return [-d1 / (2 * d2)]
+    try:
+        s = scalar_sqrt(inner)
+    except DomainError:
+        raise DomainError("the k-condition's discriminant is beyond float range") from None
+    if exact:
+        return sorted({(-d1 - s) / (2 * d2), (-d1 + s) / (2 * d2)}, key=float)
+    q = -(d1 + math.copysign(s, d1)) / 2.0
+    return sorted({q / d2, d0 / q})
 
 
 def _branch_table(problem: NUProblem, rel_tol: float) -> list:
@@ -291,20 +281,15 @@ def sigma_roots(problem: NUProblem) -> tuple:
         c1, c0 = problem.sigma.coefficient(1), problem.sigma.coefficient(0)
         return (-c0 / c1,)
     a, b = problem.sigma.coefficient(2), problem.sigma.coefficient(1)
-    disc = quad_discriminant(problem.sigma)
-    if isinstance(disc, Fraction) or isinstance(disc, int):
-        s = _exact_sqrt(Fraction(disc))
-        if s is not None:
-            return tuple(sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)), key=float))
-    sf = math.sqrt(float(disc))
-    return tuple(sorted(((-float(b) - sf) / (2 * float(a)), (-float(b) + sf) / (2 * float(a)))))
+    s = scalar_sqrt(quad_discriminant(problem.sigma))
+    return tuple(sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)), key=float))
 
 
 def quantization(problem: NUProblem, branch: NUBranch) -> Quantization:
     """Closed-form lambda_bar_n from tau' and sigma''."""
     tau1 = branch.tau_prime
     sig2 = problem.sigma.coefficient(2) * 2
-    half_sig2 = sig2 * _HALF if isinstance(sig2, (int, Fraction)) else sig2 * 0.5
+    half_sig2 = sig2 / 2
     zero = tau1 * 0
     return Quantization(
         family=classify(problem),

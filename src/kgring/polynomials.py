@@ -8,7 +8,8 @@ tests assert equalities with no tolerance at all.
 
 Only what the reduction needs lives here: ring operations, derivative,
 evaluation, the quadratic discriminant and the perfect-square root. Degrees
-are capped by the callers, not by the type.
+are capped by the callers, not by the type. `scalar_sqrt` is the one rule
+for whether a square root stays exact, here and in the modules above.
 """
 
 from __future__ import annotations
@@ -24,15 +25,21 @@ Scalar = Union[int, float, Fraction]
 _EXACT_TYPES = (int, Fraction)
 
 
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    """Rational square root of q >= 0, or None if q is not a perfect square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def scalar_sqrt(x: Scalar) -> Scalar:
+    """sqrt(x): a Fraction when x is exact and a perfect square, else math.sqrt(x).
+
+    This is the one rule that decides whether a square root keeps the exact
+    track. An argument beyond float range raises DomainError.
+    """
+    if isinstance(x, _EXACT_TYPES) and x >= 0:
+        num, den = x.as_integer_ratio()
+        rn, rd = map(math.isqrt, (num, den))
+        if rn * rn == num and rd * rd == den:
+            return Fraction(rn, rd)
+    try:
+        return math.sqrt(x)
+    except OverflowError:
+        raise DomainError("a square root's argument is beyond float range") from None
 
 
 class Poly:
@@ -47,21 +54,15 @@ class Poly:
         items = list(coeffs)
         if not items:
             items = [0]
-        if all(isinstance(c, _EXACT_TYPES) for c in items):
-            fr = [Fraction(c) for c in items]
-            while len(fr) > 1 and fr[-1] == 0:
-                fr.pop()
-            self.exact = tuple(fr)
-            try:
-                self.values = tuple(float(c) for c in fr)
-            except OverflowError:
-                raise DomainError("an exact coefficient is beyond float range") from None
-        else:
-            fl = [float(c) for c in items]
-            while len(fl) > 1 and fl[-1] == 0.0:
-                fl.pop()
-            self.exact = None
-            self.values = tuple(fl)
+        exact = all(isinstance(c, _EXACT_TYPES) for c in items)
+        items = [(Fraction if exact else float)(c) for c in items]
+        while len(items) > 1 and items[-1] == 0:
+            items.pop()
+        self.exact = tuple(items) if exact else None
+        try:
+            self.values = tuple(map(float, items))
+        except OverflowError:
+            raise DomainError("an exact coefficient is beyond float range") from None
 
     # -- basic queries ------------------------------------------------------
 
@@ -121,15 +122,10 @@ class Poly:
         return Poly([i * c[i] for i in range(1, len(c))])
 
     def __call__(self, x: Scalar) -> Scalar:
-        if self.exact is not None and isinstance(x, _EXACT_TYPES):
-            acc: Scalar = Fraction(0)
-            for c in reversed(self.exact):
-                acc = acc * x + c
-        else:
-            acc = 0.0
-            xf = float(x)
-            for v in reversed(self.values):
-                acc = acc * xf + v
+        # both exact stays rational; otherwise floats from the first step, signed zeros included
+        acc: Scalar = 0 if self.exact is not None and isinstance(x, _EXACT_TYPES) else 0.0
+        for c in reversed(self._coeffs()):
+            acc = acc * x + c
         return acc
 
     # -- comparison / display -------------------------------------------------
@@ -170,42 +166,24 @@ def perfect_square_root(p: Poly, rel_tol: float = 1e-9) -> Poly:
     """
     if p.degree > 2:
         raise DegreeError(f"square root needs degree <= 2, got {p.degree}")
-
-    if p.exact is not None:
-        a, b, c = (p.coefficient(i) for i in (2, 1, 0))
-        disc = quad_discriminant(p)
-        if disc != 0:
-            raise NotAPerfectSquare(f"discriminant {disc} != 0")
-        if a > 0:
-            sa = _exact_sqrt(a)
-            if sa is not None:
-                return Poly([b / (2 * sa), sa])
-            fa = math.sqrt(a)
-            return Poly([float(b) / (2.0 * fa), fa])
-        if a < 0:
-            raise NotAPerfectSquare("negative leading coefficient")
-        # a == 0 forces b == 0 (disc = b^2), so p is the constant c
-        if c < 0:
-            raise NotAPerfectSquare("negative constant")
-        sc = _exact_sqrt(c)
-        return Poly([sc]) if sc is not None else Poly([math.sqrt(float(c))])
-
-    vals = p.values + (0.0,) * (3 - len(p.values))
-    c, b, a = vals[0], vals[1], vals[2]
-    scale = max(1.0, max(abs(v) for v in p.values))
-    disc = b * b - 4.0 * a * c
+    a, b, c = (p.coefficient(i) for i in (2, 1, 0))
+    # the exact track is the float one at zero tolerance
+    scale = 0 if p.is_exact else max(1.0, max(abs(v) for v in p.values))
+    disc = quad_discriminant(p)
     if abs(disc) > rel_tol * scale * scale:
-        raise NotAPerfectSquare(f"discriminant {disc:g} exceeds tolerance")
-    if a > 0.0:
-        fa = math.sqrt(a)
-        return Poly([b / (2.0 * fa), fa])
-    if a < 0.0:
+        raise NotAPerfectSquare(f"discriminant {disc} != 0" if p.is_exact
+                                else f"discriminant {disc:g} exceeds tolerance")
+    if a > 0:
+        sa = scalar_sqrt(a)
+        return Poly([b / (2 * sa), sa])
+    if a < 0:
         raise NotAPerfectSquare("negative leading coefficient")
-    if c < 0.0:
+    # a == 0 leaves b within tolerance of 0 (disc = b^2), so p is the constant c
+    if c < 0:
         if c < -rel_tol * scale:
             raise NotAPerfectSquare("negative constant")
-        c = 0.0
-    return Poly([math.sqrt(c)])
+        c = 0.0  # float rounding just below zero
+    return Poly([scalar_sqrt(c)])
 
 
 def _fmt_coeff(c: Scalar) -> str:
@@ -216,7 +194,7 @@ def _fmt_coeff(c: Scalar) -> str:
 
 def format_poly(p: Poly, var: str = "s") -> str:
     """Human-readable descending-order rendering, rational when exact."""
-    coeffs = p.exact if p.exact is not None else p.values
+    coeffs = p._coeffs()
     parts: list[str] = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]

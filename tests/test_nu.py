@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgring.bound_states import (
     Coupling,
@@ -45,6 +46,51 @@ def angular_case():
     # beta_eff = gamma_eff = 4 at eps 0, m = 1, lam 20: u = 3, B = 2, C = 1
     p = PotentialParams(alpha=-1, beta=4, gamma=4, mass=1)
     return angular_nu_problem(p, 0, 1, 20)
+
+
+_FRACTION = st.builds(lambda s, p, q: F(s * p, q), st.sampled_from((-1, 1)),
+                      st.integers(1, 9), st.integers(1, 9))
+_COUPLING = st.sampled_from(list(Coupling))
+
+
+@st.composite
+def _exact_radial(draw):
+    """(params, eps, lam) with rational eta = sqrt(mass^2 - eps^2), from a
+    Pythagorean triple, and rational sqrt(1 + 4 lam)."""
+    p = draw(st.integers(2, 7))
+    q, d = draw(st.integers(1, p - 1)), draw(st.integers(1, 5))
+    eps = F(draw(st.sampled_from((-1, 1))) * draw(st.sampled_from((p * p - q * q, 2 * p * q))), d)
+    b = draw(st.integers(1, 4))
+    s = F(draw(st.integers(b + 1, 4 * b)), b)
+    params = (draw(_FRACTION), 0, 0, F(p * p + q * q, d), draw(_COUPLING))
+    return "radial", params, eps, (s * s - 1) / 4
+
+
+@st.composite
+def _exact_angular(draw):
+    """(params, eps, m, lam) whose polar roots B > C > 0 are chosen first:
+    m^2 + beta_eff = B^2 + C^2 and |gamma_eff| = 2 B C."""
+    m, den = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
+    B = abs(m) + F(draw(st.integers(1, 3 * den)), den)
+    C = B * F(draw(st.integers(1, 7)), 8)
+    mass = F(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    eps = mass * F(draw(st.integers(-7, 7)), 8)
+    coupling = draw(_COUPLING)
+    c = (eps + mass) * (2 if coupling is Coupling.FULL else 1)
+    gamma = draw(st.sampled_from((-1, 1))) * 2 * B * C / c
+    params = (draw(_FRACTION), (B * B + C * C - m * m) / c, gamma, mass, coupling)
+    return "angular", params, eps, m, F(draw(st.integers(0, 40)), draw(st.integers(1, 4)))
+
+
+def _chain(case, conv):
+    """The problem's chain with every literal passed through conv."""
+    target, (alpha, beta, gamma, mass, coupling), eps, *rest = case
+    params = PotentialParams(conv(alpha), conv(beta), conv(gamma), conv(mass), coupling)
+    if target == "radial":
+        problem = radial_nu_problem(params, conv(eps), conv(rest[0]))
+    else:
+        problem = angular_nu_problem(params, conv(eps), rest[0], conv(rest[1]))
+    return solution_chain(problem)
 
 
 class TestProblemConstruction:
@@ -267,14 +313,16 @@ class TestFailureModes:
         with pytest.raises(UnclassifiedSigma):
             classify(NUProblem(Poly([1, -2, 1]), Poly([0]), Poly([1])))
 
-    def test_float_route_matches_exact(self):
-        exact = solution_chain(radial_case())
-        p = PotentialParams(alpha=-2.0, beta=0.0, gamma=0.0, mass=5.0)
-        floaty = solution_chain(radial_nu_problem(p, 4.0, 2.0))
-        assert not floaty.branch.pi.is_exact
-        assert floaty.branch.k == pytest.approx(float(exact.branch.k), rel=1e-12)
-        for i in (0, 1):
-            assert floaty.branch.tau.coefficient(i) == pytest.approx(
-                float(exact.branch.tau.coefficient(i)), rel=1e-12
-            )
-        assert floaty.branch.lambda_bar == pytest.approx(6.0, rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(_exact_radial(), _exact_angular()))
+    @example(case=("radial", (-2, 0, 0, 5, Coupling.HALVED), 4, 2))  # radial_case()
+    def test_float_route_matches_exact(self, case):
+        # the float image of an exact problem takes the same branch, with k,
+        # tau' and lambda_bar within the engine's own rel_tol of
+        # max(1, |value|): an exact k = 0 comes out of floats as about 1e-14
+        exact, floaty = (_chain(case, conv) for conv in (lambda v: v, float))
+        assert exact.branch.pi.is_exact and not floaty.branch.pi.is_exact
+        assert (floaty.family, floaty.branch.sign) == (exact.family, exact.branch.sign)
+        for attr in ("k", "tau_prime", "lambda_bar"):
+            want = float(getattr(exact.branch, attr))
+            assert getattr(floaty.branch, attr) == pytest.approx(want, rel=1e-9, abs=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgring.errors import DegreeError, DomainError, NotAPerfectSquare
-from kgring.polynomials import Poly, format_poly, perfect_square_root, quad_discriminant
+from kgring.polynomials import Poly, format_poly, perfect_square_root, quad_discriminant, scalar_sqrt
 
 F = Fraction
 
@@ -163,6 +163,26 @@ class TestPerfectSquareRoot:
         r = perfect_square_root(q * q, rel_tol=1e-12)
         assert r.coefficient(1) == pytest.approx(a, rel=1e-9)
         assert r.coefficient(0) == pytest.approx(b, rel=1e-6, abs=1e-9)
+
+
+class TestScalarSqrt:
+    @pytest.mark.parametrize("x,root", [(0, 0), (9, 3), (F(9, 4), F(3, 2)), (F(1, 10**40), F(1, 10**20)),
+                                        (10**300, 10**150)],
+                             ids=["0", "9", "9/4", "1e-40", "1e300"])
+    def test_perfect_squares_stay_exact(self, x, root):
+        got = scalar_sqrt(x)
+        assert isinstance(got, Fraction) and got == root
+
+    @pytest.mark.parametrize("x", [2, F(1, 2), F(8, 9), 10**301, 2.25, 0.0, 1e-320, 7.0],
+                             ids=["2", "1/2", "8/9", "1e301", "2.25", "0.0", "1e-320", "7.0"])
+    def test_everything_else_is_the_float_root(self, x):
+        got = scalar_sqrt(x)
+        assert type(got) is float and got == math.sqrt(float(x))
+
+    @pytest.mark.parametrize("x", [10**401, F(10**401, 7)], ids=["int", "fraction"])
+    def test_beyond_float_range(self, x):
+        with pytest.raises(DomainError, match="float range"):
+            scalar_sqrt(x)
 
 
 class TestFormat:
