@@ -21,6 +21,9 @@ COULOMB = ("spectrum", "--alpha", "0.2", "--beta", "0", "--gamma", "0",
            "--mass", "1", "--Nmax", "1", "--nmax", "0", "--mmax", "1")
 RING = ("spectrum", "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02",
         "--mass", "1", "--Nmax", "2", "--nmax", "1", "--mmax", "1")
+VERIFY_RING = ("verify", "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02",
+               "--mass", "1", "--Nmax", "1", "--nmax", "1", "--mmax", "1",
+               "--points", "400", "--refine", "2")
 NU_RADIAL = ("nu", "reduce", "--target", "radial", "--alpha", "-2", "--beta", "0",
              "--gamma", "0", "--mass", "5", "--epsilon", "4", "--lambda", "2")
 NU_ANGULAR = ("nu", "reduce", "--target", "angular", "--alpha", "0", "--beta", "2",
@@ -67,11 +70,22 @@ class TestGoldenFiles:
     def test_verify_ring_csv(self):
         # the oracle's energy_fd and lambda_fd to the last digit: all twelve
         # rows certified, the m = 0 ones included, exit 0
-        p = run_cli("verify", "--alpha", "0.2", "--beta", "0.05", "--gamma", "0.02",
-                    "--mass", "1", "--Nmax", "1", "--nmax", "1", "--mmax", "1",
-                    "--points", "400", "--refine", "2", "--format", "csv")
+        p = run_cli(*VERIFY_RING, "--format", "csv")
         assert p.returncode == 0
         assert p.stdout == (GOLDEN / "verify_ring.csv").read_bytes()
+
+    def test_verify_ring_json(self):
+        # the same rows and summary as JSON objects
+        p = run_cli(*VERIFY_RING)
+        assert p.returncode == 0
+        assert p.stdout == (GOLDEN / "verify_ring.json").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_wavefunction_ring(self, fmt):
+        # the meta row, then 41 radial and 41 polar samples
+        p = run_cli(*TestWavefunctionOutput.CMD, "--format", fmt)
+        assert p.returncode == 0
+        assert p.stdout == (GOLDEN / f"wavefunction_ring.{fmt}").read_bytes()
 
     @pytest.mark.parametrize("name,argv", [
         *((f"nu_radial.{ext}", (*NU_RADIAL, "--degree", "2", "--format", fmt))
