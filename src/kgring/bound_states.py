@@ -144,8 +144,9 @@ def _angular_solution(m: int, n: int, c: Scalar, beta: Scalar, gamma: Scalar) ->
     u, B = _polar_root(m * m, c, beta, gamma)
     gamma_eff = c * gamma
     # C via B C = |gamma_eff|/2, which dodges the cancellation in mm - u;
-    # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0
-    C = abs(gamma_eff) / (2 * B) if gamma_eff != 0 and B != 0 else B * 0
+    # 0 <= C <= B, so C = 0 where (mm + u)/2 underflows and B = 0, and C = B
+    # where the quotient rounds past B at the ComplexU edge (u = 0)
+    C = min(abs(gamma_eff) / (2 * B), B) if gamma_eff != 0 and B != 0 else B * 0
     return AngularSolution(m, n, c * beta, gamma_eff, u, B, C, B + n)
 
 
@@ -207,10 +208,14 @@ def angular_nu_problem(params: PotentialParams, eps: Scalar, m: int, lam: Scalar
     c = params.energy_coupling(eps)
     beta_eff = c * params.beta
     gamma_eff = c * params.gamma
+    try:
+        constant = lam - m * m - beta_eff
+    except OverflowError:  # float track: m^2 has no float
+        raise DomainError("m^2 is beyond float range") from None
     return NUProblem(
         sigma=Poly([1, 0, -1]),
         tau_tilde=Poly([0, -2]),
-        sigma_tilde=Poly([lam - m * m - beta_eff, -gamma_eff, -lam]),
+        sigma_tilde=Poly([constant, -gamma_eff, -lam]),
     )
 
 

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -50,13 +51,11 @@ VERIFY_FIELDS = (
     "lambda", "lambda_fd", "lambda_err",
     "radial_residual", "angular_residual", "ok", "error",
 )
+WAVEFUNCTION_FIELDS = ("kind", "coordinate", "value")
 
 
-def _fmt15(x: float) -> str:
-    v = float(x)
-    if v == 0.0:  # never emit -0
-        v = 0.0
-    return f"{v:.15g}"
+def _fmt15(x) -> str:
+    return f"{float(x) + 0.0:.15g}"  # + 0.0 turns -0.0 into 0.0: never emit -0
 
 
 def _canon(x) -> float:
@@ -76,17 +75,64 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit_csv(records, fields) -> str:
+# Rows carry the floats the commands computed, and each float is formatted
+# once, when it is emitted: CSV prints its 15-digit text and JSON the float
+# that text reads back as.
+
+
+def _emit_rows(rows, fields, fmt: str) -> str:
+    return _emit_csv(rows, fields) if fmt == "csv" else _emit_json_rows(_json_rows(rows))
+
+
+def _json_rows(rows) -> list[dict]:
+    """The rows with each float replaced by _canon of it."""
+    # _canon inlined: this runs once per float of every JSON row
+    return [{k: float(f"{v + 0.0:.15g}") if isinstance(v, float) else v for k, v in r.items()}
+            for r in rows]
+
+
+def _emit_json_rows(rows) -> str:
+    """json.dumps(rows, indent=2) + "\n" for a list of flat, non-empty dicts.
+
+    With `indent` json.dumps runs CPython's pure-Python encoder; without it,
+    the C one. Items separated by ",\n    " are already a record's fields as
+    indent=2 lays them out, so only the record boundaries "},\n    {" need
+    respacing. No encoded value can hold that text: the encoder escapes every
+    newline inside a string.
+    """
+    if not rows:
+        return "[]\n"
+    body = json.dumps(rows, separators=(",\n    ", ": "))[2:-2]
+    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
+
+
+def _emit_csv(rows, fields) -> str:
+    """What csv.writer writes for a header line and the cells
+    _cell(row.get(field)) of each row, in a table of two or more fields."""
+    columns = [_csv_column([f] + [r.get(f) for r in rows]) for f in fields]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _csv_column(values) -> list[str]:
+    # _cell inlined for floats, nearly every cell, and for text
+    cells = [f"{v + 0.0:.15g}" if isinstance(v, float) else v if type(v) is str else _cell(v)
+             for v in values]
+    if _CSV_SPECIAL.search("".join(cells)):
+        cells = [_csv_field(c) for c in cells]
+    return cells
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of several fields."""
+    if not _CSV_SPECIAL.search(text):
+        return text
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(fields)
-    for r in records:
-        w.writerow([_cell(r.get(f)) for f in fields])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+# csv.writer quotes no field without these characters
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 def _scalar_arg(text: str):
@@ -231,20 +277,18 @@ def _spectrum_record(level, N, n, m) -> dict:
         return {**base, "l_eff": None, "energy": None, "binding": None,
                 "iterations": 0, "converged": False, "residual": None,
                 "error": type(level).__name__}
-    # l_eff = n + B, formed as the AngularSolution forms it
-    return {**base, "l_eff": _canon(level.angular.B + n), "energy": _canon(level.energy),
-            "binding": _canon(level.binding), "iterations": level.iterations,
-            "converged": level.converged, "residual": _canon(level.residual),
-            "error": None}
+    # l_eff = n + B, formed as the AngularSolution forms it (B is a Fraction
+    # where the strengths leave it exact)
+    return {**base, "l_eff": float(level.angular.B + n), "energy": level.energy,
+            "binding": level.binding, "iterations": level.iterations,
+            "converged": level.converged, "residual": level.residual, "error": None}
 
 
 def cmd_spectrum(args) -> int:
     params = _build_params(args)
     _check_solver_options(args, params)
     records = _rows(args, params, _spectrum_record)
-    text = (_emit_csv(records, SPECTRUM_FIELDS) if args.format == "csv"
-            else _emit_json(records))
-    sys.stdout.write(text)
+    sys.stdout.write(_emit_rows(records, SPECTRUM_FIELDS, args.format))
     return 2 if any(r["error"] for r in records) else 0
 
 
@@ -267,34 +311,23 @@ def cmd_wavefunction(args) -> int:
     th = angular_wavefunction(st, x)
     meta = {
         "N": st.numbers.N, "n": st.numbers.n, "m": st.numbers.m,
-        "energy": _canon(st.energy), "binding": _canon(st.binding),
-        "l_eff": _canon(st.l_eff), "B": _canon(float(st.angular.B)),
-        "C": _canon(float(st.angular.C)), "n_prime": _canon(st.n_prime),
-        "kappa": _canon(st.kappa), "norm_radial": _canon(st.norm_radial),
-        "norm_angular": _canon(st.norm_angular),
-        "separation_lambda": _canon(st.separation_lambda),
-        "iterations": st.iterations, "converged": st.converged,
-        "residual": _canon(st.residual), "rmax": _canon(rmax),
+        "energy": st.energy, "binding": st.binding, "l_eff": st.l_eff,
+        "B": float(st.angular.B), "C": float(st.angular.C), "n_prime": st.n_prime,
+        "kappa": st.kappa, "norm_radial": st.norm_radial, "norm_angular": st.norm_angular,
+        "separation_lambda": st.separation_lambda, "iterations": st.iterations,
+        "converged": st.converged, "residual": st.residual, "rmax": rmax,
         "samples": args.samples,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        for key, val in meta.items():
-            buf.write(f"# {key} = {_cell(val)}\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["kind", "coordinate", "value"])
-        for rv, uv in zip(r, u):
-            w.writerow(["radial", _fmt15(rv), _fmt15(uv)])
-        for xv, tv in zip(x, th):
-            w.writerow(["angular", _fmt15(xv), _fmt15(tv)])
-        sys.stdout.write(buf.getvalue())
+    samples = [
+        {"kind": kind, "coordinate": c, "value": v}
+        for kind, coords, values in (("radial", r, u), ("angular", x, th))
+        for c, v in zip(coords.tolist(), values.tolist())
+    ]
+    if args.format == "csv":  # the meta row as comment lines above the sample table
+        sys.stdout.write("".join(f"# {key} = {_cell(val)}\n" for key, val in meta.items())
+                         + _emit_csv(samples, WAVEFUNCTION_FIELDS))
     else:
-        rows = [{"kind": "meta", **meta}]
-        rows += [{"kind": "radial", "coordinate": _canon(rv), "value": _canon(uv)}
-                 for rv, uv in zip(r, u)]
-        rows += [{"kind": "angular", "coordinate": _canon(xv), "value": _canon(tv)}
-                 for xv, tv in zip(x, th)]
-        sys.stdout.write(_emit_json(rows))
+        sys.stdout.write(_emit_json_rows(_json_rows([{"kind": "meta", **meta}, *samples])))
     return 0
 
 
@@ -348,11 +381,9 @@ def _verify_record(level, N, n, m, params, args, grid) -> dict:
         lam_err = abs(lam - lam_fd) / max(1.0, abs(lam))
         res_r, res_x = _residual_pair(params, st)
         ok = eps_err <= args.vtol and lam_err <= args.vtol
-        return {**base, "energy": _canon(st.energy), "energy_fd": _canon(eps_fd),
-                "energy_err": _canon(eps_err), "lambda": _canon(lam),
-                "lambda_fd": _canon(lam_fd), "lambda_err": _canon(lam_err),
-                "radial_residual": _canon(res_r), "angular_residual": _canon(res_x),
-                "ok": ok, "error": None}
+        return {**base, "energy": st.energy, "energy_fd": eps_fd, "energy_err": eps_err,
+                "lambda": lam, "lambda_fd": lam_fd, "lambda_err": lam_err,
+                "radial_residual": res_r, "angular_residual": res_x, "ok": ok, "error": None}
     except SolverError as exc:
         return {**base, **blank, "ok": False, "error": type(exc).__name__}
 
@@ -374,10 +405,7 @@ def cmd_verify(args) -> int:
                "lambda": None, "lambda_fd": None, "lambda_err": worst_l,
                "radial_residual": None, "angular_residual": None,
                "ok": all_ok, "error": None}
-    rows = records + [summary]
-    text = (_emit_csv(rows, VERIFY_FIELDS) if args.format == "csv"
-            else _emit_json(rows))
-    sys.stdout.write(text)
+    sys.stdout.write(_emit_rows(records + [summary], VERIFY_FIELDS, args.format))
     return 0 if all_ok else 2
 
 
@@ -510,7 +538,8 @@ def cmd_nu_reduce(args) -> int:
         var = "x"
     chain = solution_chain(problem)
     lambda_bar_n = None if args.degree is None else chain.quantization.evaluate(args.degree)
-    emit = {"text": _nu_text, "csv": _nu_csv, "json": _emit_json}[args.format]
+    emit = {"text": _nu_text, "csv": _nu_csv,
+            "json": lambda payload: json.dumps(payload, indent=2) + "\n"}[args.format]
     try:
         text = emit(_nu_payload(chain, var, args.target, args.degree, lambda_bar_n))
     except ValueError as exc:

@@ -666,6 +666,10 @@ class TestWavefunctions:
     @settings(max_examples=100, deadline=None)
     @given(qn=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
            **TestDegeneracy.PARAMS)
+    # at the ComplexU edge, where B = C exactly, |gamma_eff| / 2B once rounded
+    # one ulp past B and the polar factor raised DomainError
+    @example(qn=(0, 3, 0), alpha=0.9921875, beta=0.3125, tilt=1.0, mass=0.5,
+             coupling=Coupling.HALVED)
     def test_negative_gamma_mirror(self, qn, alpha, beta, tilt, mass, coupling):
         # gamma -> -gamma keeps the level to the last bit and swaps the Jacobi
         # parameter pair, so the polar profile reflects about x = 0 up to the

@@ -395,6 +395,44 @@ class TestNuReduce:
         assert table["selected.lambda_bar"] == "6"
 
 
+# text that could upset a spliced or joined emitter: the JSON record boundary,
+# quotes, backslashes, line breaks, CSV delimiters and non-ASCII
+_AWKWARD = st.sampled_from(("},\n    {", "\n  },\n  {\n    ", '"', '\\', "\n", "\r", ",", '"a,b"',
+                            "", " ", "é", "ℏω", "\u2028", "null"))
+_TEXT = st.text() | _AWKWARD
+_FLAT_VALUE = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0) | _TEXT)
+# keys from a small shared pool and arbitrary ones, so rows share some keys
+# and differ in others, as the wavefunction meta row and sample rows do
+_KEY = st.sampled_from(("kind", "N", "energy", "value")) | _TEXT
+
+
+class TestRowEmitters:
+    """The JSON row emitter and the CSV row path against the library writers."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.dictionaries(_KEY, _FLAT_VALUE, min_size=1, max_size=6), max_size=6))
+    @example(rows=[])
+    @example(rows=[{"kind": "meta", "N": 0}, {"kind": "},\n    {", "value": -0.0}])
+    def test_json_rows_equal_indented_dumps(self, rows):
+        from kgring.cli import _emit_json_rows
+
+        assert _emit_json_rows(rows) == json.dumps(rows, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), fields=st.lists(_KEY, min_size=2, max_size=5, unique=True))
+    def test_csv_equals_csv_writer_over_cells(self, data, fields):
+        from kgring.cli import _cell, _emit_csv
+
+        values = _FLAT_VALUE | st.floats()  # CSV cells also print nan and inf
+        rows = data.draw(st.lists(st.dictionaries(st.sampled_from(fields), values), max_size=6))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_cell(r.get(f)) for f in fields] for r in rows)
+        assert _emit_csv(rows, fields) == buf.getvalue()
+
+
 class TestInProcess:
     """`main` called repeatedly in one process, as a library user would."""
 
@@ -480,7 +518,7 @@ class TestInProcess:
     def test_verify_rows_match_direct_solves(self, capsys):
         from argparse import Namespace
 
-        from kgring.cli import _verify_record
+        from kgring.cli import _json_rows, _verify_record
         from kgring.oracle import GridSpec
 
         code, out, _ = self.run(capsys, "verify", "--alpha=0.3", "--beta=0.07", "--gamma=-0.03",
@@ -494,7 +532,8 @@ class TestInProcess:
         for r in rows:
             N, n, m = r["N"], r["n"], r["m"]
             own = solve_bound_state(params, QuantumNumbers(N, n, m))
-            assert r == _verify_record(own, N, n, m, params, args, grid)
+            # the record as JSON prints it: floats at the output precision
+            assert r == _json_rows([_verify_record(own, N, n, m, params, args, grid)])[0]
 
 
 # literals at and beyond the edges of float range and of int -> str conversion

@@ -295,6 +295,10 @@ class TestFailureModes:
         p = PotentialParams(alpha=1, beta=F(1, 3), gamma=F(1, 7), mass=1)
         with pytest.raises(DomainError, match="float range"):
             solution_chain(angular_nu_problem(p, 0, 10**80, 2))
+        # on the float track m^2 itself has no float past |m| ~ 1.3e154
+        p = PotentialParams(0.2, 0.05, 0.02, 1.0)
+        with pytest.raises(DomainError, match="float range"):
+            solution_chain(angular_nu_problem(p, 0.5, 10**160, 2.0))
 
     def test_no_real_k(self):
         # constant radicand: the k-condition degenerates to 0 = 0
