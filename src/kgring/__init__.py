@@ -47,7 +47,6 @@ from .nu import (
     PhiFactor,
     Quantization,
     branches,
-    candidate_k,
     classify,
     select_physical,
     solution_chain,
@@ -75,7 +74,7 @@ __all__ = [
     "UnclassifiedSigma",
     "BACKEND",
     "Chain", "Family", "NUBranch", "NUProblem", "PhiFactor", "Quantization",
-    "branches", "candidate_k", "classify", "select_physical", "solution_chain",
+    "branches", "classify", "select_physical", "solution_chain",
     "GridSpec", "angular_numeric_lambda", "ode_residual",
     "radial_numeric_energy",
     "Poly", "format_poly", "perfect_square_root", "quad_discriminant",

@@ -1,62 +1,115 @@
-"""Backend dispatch for the hot tridiagonal kernels.
+"""The Sturm pivot count behind the finite-difference oracle, and its bisection drivers.
 
-The compiled extension is preferred; the pure-Python mirror is the fallback
-and can be forced with KGRING_PURE_PYTHON=1 (checked once, at import). Each
-backend exposes one function, with identical semantics:
+count_below(diag, off_sq, x) walks the LDL^T pivots of T - x I for a
+symmetric tridiagonal T (diagonal d, squared off-diagonal e2):
+q_i = (d_i - x) - e2_{i-1}/q_{i-1}. The number of negative pivots equals the
+number of eigenvalues strictly below x. Pivots inside (-PIVMIN, PIVMIN) are
+pushed to -PIVMIN, the standard guard against division blow-up; it can only
+perturb counts at x ulp-close to an eigenvalue, which the bisection drivers
+tolerate by construction.
 
-    count_below(diag, off_sq, x) -> #eigenvalues < x
+The shifted diagonal t = d - x is formed in numpy (the same IEEE operations,
+in the same order, as the scalar expression), so the Python loop is left with
+one division, one subtraction and one comparison per positive pivot. Callers
+whose diagonal depends on a parameter form it in numpy before the call.
 
-Arrays must be contiguous float64 (the compiled kernel is typed; use
-`as_kernel_array`). A matrix probed at many x should pass its squared
-off-diagonal through `as_kernel_off_sq` once: the pure-Python kernel then
-converts it to Python floats, and bounds it, once per matrix rather than once
-per probe. The compiled kernel sweeps every pivot; the pure one stops once
-the rest of the sweep provably cannot count (see `_sturm_py`), with the same
-count. The bisection drivers below are shared by both backends: counting is
-the only part worth compiling. Every probe is a pivot sweep, so the drivers
-spend as few as they can without changing a result: `bisect` walks the
-midpoint tree of a bracket, and `within_bounds` lets it skip the midpoints
-whose answer a verified guess (a coarser grid's value) already implies.
+The sweep may stop early, with the count it would have reached. With s a
+little above sqrt(max e2), a pivot q >= s followed only by shifted diagonals
+t >= 2s(1 + 1e-12) leaves every later pivot above s: the rounded e2/q is at
+most s(1 + u), so t - e2/q rounds to more than s, and nothing after it can
+count (see Demmel, Dhillon & Ren, ETNA 3, 1995, on the rounding of Sturm
+counts). So once past the last shifted diagonal below that threshold, the
+sweep checks q >= s there and then every _CHUNK steps, and stops at the first
+check that holds. The conversion of e2 to Python floats and the bound s are
+made once per matrix by `_OffSq`, which `as_kernel_off_sq` returns; a plain
+array or list is converted on each call.
+
+Every probe is a pivot sweep, so the drivers spend as few as they can
+without changing a result: `bisect` walks the midpoint tree of a bracket, and
+`within_bounds` lets it skip the midpoints whose answer a verified guess (a
+coarser grid's value) already implies.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import DomainError
 
-if os.environ.get("KGRING_PURE_PYTHON"):
-    from . import _sturm_py as _impl
+# the kernel that runs, as reported in run records
+BACKEND = "python"
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _sturm_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _sturm_py as _impl
-
-        BACKEND = "python"
-
-count_below = _impl.count_below
+_PIVMIN = 1e-290
+# the tail bound's floor (it matters only for an all-zero off-diagonal) and
+# the steps swept between tail checks once the last non-dominant diagonal is past
+_TAIL_FLOOR = 1e-280
+_CHUNK = 512
 
 
-def as_kernel_array(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
+class _OffSq(list):
+    """Squared off-diagonal as Python floats behind a leading 0.0, with its tail bound.
+
+    The leading 0.0 makes the first pivot one more loop step: from a
+    previous pivot of 1.0 it gives t_0 - 0.0 / 1.0 = t_0 exactly. `bound`
+    is s = sqrt(max e2) (1 + 1e-12) + floor, NaN or inf when e2 holds one.
+    Its length is n, not n - 1, so it is no off-diagonal for a second
+    wrapping (`as_kernel_off_sq` passes a prepared one through unchanged).
+    """
+
+    __slots__ = ("bound",)
+
+    def __init__(self, off_sq):
+        e2 = np.asarray(off_sq, dtype=float)
+        super().__init__([0.0] + e2.tolist())
+        self.bound = math.sqrt(float(e2.max(initial=0.0))) * (1.0 + 1e-12) + _TAIL_FLOOR
+
+
+def _decided_end(t, s: float) -> int:
+    """Pivots to sweep before the tail may be dropped.
+
+    One past the last shifted diagonal that is not >= 2s(1 + 1e-12) (a NaN
+    is not), and at least 1; all of t when its last entry is not, or when s
+    is not finite.
+    """
+    n = t.shape[0]
+    thr = 2.0 * s * (1.0 + 1e-12)
+    if not (n and math.isfinite(thr) and t[-1] >= thr):
+        return n
+    dominant = (t >= thr)[::-1]
+    j = int(dominant.argmin())  # the first False, from the end
+    return 1 if dominant[j] else n - j
+
+
+def count_below(diag, off_sq, x) -> int:
+    """Number of eigenvalues strictly below x; `off_sq` is the squared off-diagonal."""
+    t = np.asarray(diag, dtype=float) - x
+    e2 = off_sq if type(off_sq) is _OffSq else _OffSq(off_sq)
+    s = e2.bound
+    n = t.shape[0]
+    end = _decided_end(t, s)
+    start, q, count = 0, 1.0, 0
+    ie = iter(e2)
+    while True:
+        # zip takes from t's chunk first, so ie advances exactly one per step
+        for ti, ei in zip(t[start:end].tolist(), ie):
+            q = ti - ei / q
+            if q < _PIVMIN:
+                if q > -_PIVMIN:
+                    q = -_PIVMIN
+                count += 1
+        if end >= n or q >= s:
+            return count
+        start, end = end, end + _CHUNK
 
 
 def as_kernel_off_sq(off_sq):
-    """A squared off-diagonal in the form the active backend sweeps fastest.
+    """A squared off-diagonal prepared once for a matrix that `count_below` probes at many x.
 
     Idempotent: an off-diagonal already prepared is returned as it is.
     """
-    if BACKEND == "python":
-        return off_sq if type(off_sq) is _impl._OffSq else _impl._OffSq(off_sq)
-    return as_kernel_array(off_sq)
+    return off_sq if type(off_sq) is _OffSq else _OffSq(off_sq)
 
 
 def bisect(below, lo: float, hi: float, rel_tol: float, scale: float = 1.0) -> float:
@@ -129,8 +182,8 @@ def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14, bounds=None) -
     it is checked before use (see `within_bounds`) and changes only how many
     sweeps run, not the returned float.
     """
-    d = as_kernel_array(diag)
-    e = as_kernel_array(off)
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
     n = d.shape[0]
     if not 0 <= k < n:
         raise DomainError(f"eigenvalue index {k} outside 0..{n - 1}")

@@ -81,7 +81,11 @@ class NUProblem:
         return (self.sigma.derivative() - self.tau_tilde) * _HALF
 
     def radicand(self, k: Scalar) -> Poly:
-        """Quadratic under pi's square root for a given k."""
+        """Quadratic under pi's square root for a given k.
+
+        The one-pass `solution_chain` forms it without this method; `branches`
+        uses it for the per-k reference build.
+        """
         h = self.half_shift()
         return h * h - self.sigma_tilde + self.sigma * k
 
@@ -206,11 +210,6 @@ def _branch_table(problem: NUProblem, rel_tol: float) -> list:
     return table
 
 
-def candidate_k(problem: NUProblem, rel_tol: float = 1e-9) -> list:
-    """All real k for which the radicand is a perfect square, ascending."""
-    return [k for k, _ in _branch_table(problem, rel_tol)]
-
-
 def _k_discriminant_coeffs(base: Poly, sigma: Poly):
     """Coefficients in k of disc_s(base + k sigma) = B(k)^2 - 4 A(k) C(k)."""
     a = Poly([base.coefficient(2), sigma.coefficient(2)])
@@ -230,7 +229,11 @@ def _pair(problem: NUProblem, h: Poly, k: Scalar, q: Poly) -> tuple[NUBranch, NU
 
 
 def branches(problem: NUProblem, k: Scalar, rel_tol: float = 1e-9) -> tuple[NUBranch, NUBranch]:
-    """Both sign choices of pi at a given k, plus branch first."""
+    """Both sign choices of pi at a given k, plus branch first.
+
+    `solution_chain` builds its branches in one pass and does not call this;
+    it is the per-k build that tests compare `Chain.branches` against.
+    """
     q = perfect_square_root(problem.radicand(k), rel_tol)
     return _pair(problem, problem.half_shift(), k, q)
 

@@ -1,35 +1,26 @@
-"""Sturm-count kernels against dense linear algebra, both backends."""
+"""The Sturm-count kernel against dense linear algebra and the scalar pivot loop."""
 
-import inspect
 import math
-import os
-import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import kgring._sturm_py as pure
 from kgring import kernels, oracle
 from kgring.errors import DomainError
 
-BACKENDS = [("dispatched", kernels), ("pure", pure)]
-
 
 def loop_count_below(diag, off_sq, x):
-    """The scalar pivot loop the kernels reproduce count for count."""
+    """The scalar pivot loop the kernel reproduces count for count."""
     d, e2 = list(diag), list(off_sq)
     q = d[0] - x
-    if -pure._PIVMIN < q < pure._PIVMIN:
-        q = -pure._PIVMIN
+    if -kernels._PIVMIN < q < kernels._PIVMIN:
+        q = -kernels._PIVMIN
     count = 1 if q < 0.0 else 0
     for i in range(1, len(d)):
         q = d[i] - x - e2[i - 1] / q
-        if -pure._PIVMIN < q < pure._PIVMIN:
-            q = -pure._PIVMIN
+        if -kernels._PIVMIN < q < kernels._PIVMIN:
+            q = -kernels._PIVMIN
         if q < 0.0:
             count += 1
     return count
@@ -39,13 +30,13 @@ def loop_count_below_affine(diag_base, diag_lin, c, off_sq, x):
     """The scalar loop for diagonal diag_base + c*diag_lin, the oracle's radial shape."""
     db, dl, e2 = list(diag_base), list(diag_lin), list(off_sq)
     q = db[0] + c * dl[0] - x
-    if -pure._PIVMIN < q < pure._PIVMIN:
-        q = -pure._PIVMIN
+    if -kernels._PIVMIN < q < kernels._PIVMIN:
+        q = -kernels._PIVMIN
     count = 1 if q < 0.0 else 0
     for i in range(1, len(db)):
         q = db[i] + c * dl[i] - x - e2[i - 1] / q
-        if -pure._PIVMIN < q < pure._PIVMIN:
-            q = -pure._PIVMIN
+        if -kernels._PIVMIN < q < kernels._PIVMIN:
+            q = -kernels._PIVMIN
         if q < 0.0:
             count += 1
     return count
@@ -61,27 +52,26 @@ def dense_eigs(d, e):
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
-@pytest.mark.parametrize("name,mod", BACKENDS)
 class TestCountBelow:
-    def test_matches_dense_counts(self, name, mod):
+    def test_matches_dense_counts(self):
         rng = np.random.default_rng(7)
         for trial in range(8):
             d, e = random_tridiag(rng, 50)
             eigs = dense_eigs(d, e)
             e2 = e * e
             for x in (-4.0, -1.0, 0.0, 0.5, 2.0, 5.0):
-                assert mod.count_below(d, e2, x) == int(np.sum(eigs < x))
+                assert kernels.count_below(d, e2, x) == int(np.sum(eigs < x))
 
-    def test_count_at_midpoints_is_exact_index(self, name, mod):
+    def test_count_at_midpoints_is_exact_index(self):
         rng = np.random.default_rng(11)
         d, e = random_tridiag(rng, 30)
         eigs = dense_eigs(d, e)
         e2 = e * e
         mids = 0.5 * (eigs[:-1] + eigs[1:])
         for i, x in enumerate(mids):
-            assert mod.count_below(d, e2, float(x)) == i + 1
+            assert kernels.count_below(d, e2, float(x)) == i + 1
 
-    def test_affine_consistency(self, name, mod):
+    def test_affine_consistency(self):
         rng = np.random.default_rng(3)
         d0 = rng.normal(0.0, 1.0, 40)
         d1 = rng.normal(0.0, 1.0, 40)
@@ -89,52 +79,18 @@ class TestCountBelow:
         e2 = e * e
         for c in (-1.5, 0.0, 0.7, 3.0):
             for x in (-2.0, 0.0, 1.0):
-                assert mod.count_below(d0 + c * d1, e2, x) == loop_count_below_affine(d0, d1, c, e2, x)
+                assert kernels.count_below(d0 + c * d1, e2, x) == loop_count_below_affine(d0, d1, c, e2, x)
 
-    def test_single_row(self, name, mod):
-        assert mod.count_below(np.array([2.0]), np.zeros(0), 1.0) == 0
-        assert mod.count_below(np.array([2.0]), np.zeros(0), 3.0) == 1
+    def test_single_row(self):
+        assert kernels.count_below(np.array([2.0]), np.zeros(0), 1.0) == 0
+        assert kernels.count_below(np.array([2.0]), np.zeros(0), 3.0) == 1
 
-    def test_degenerate_pivot_does_not_crash(self, name, mod):
+    def test_degenerate_pivot_does_not_crash(self):
         # hitting an eigenvalue exactly forces the tiny-pivot clamp
         d = np.array([1.0, 1.0, 1.0])
         e2 = np.zeros(2)
-        assert mod.count_below(d, e2, 1.0) in (0, 3)  # strict inequality either way
-        assert mod.count_below(d, e2, 1.0 + 1e-12) == 3
-
-
-class TestBackendsAgree:
-    def test_dispatched_equals_pure(self):
-        rng = np.random.default_rng(19)
-        d, e = random_tridiag(rng, 80)
-        e2 = e * e
-        for x in np.linspace(-6, 6, 25):
-            assert kernels.count_below(d, e2, float(x)) == pure.count_below(
-                list(d), list(e2), float(x)
-            )
-
-    def test_compiled_source_mirrors_pure(self):
-        # the compiled module exists only where the package was built with
-        # Cython, so compare the sources: one def per public pure function
-        pyx = Path(pure.__file__).with_name("_sturm_cy.pyx").read_text()
-        defs = set(re.findall(r"^def (\w+)\(", pyx, re.MULTILINE))
-        public = {name for name, obj in vars(pure).items()
-                  if inspect.isfunction(obj) and not name.startswith("_")}
-        assert defs == public == {"count_below"}
-
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("compiled", "python")
-
-    def test_env_forces_pure_python(self):
-        env = dict(os.environ, KGRING_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from kgring import kernels; print(kernels.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "python"
+        assert kernels.count_below(d, e2, 1.0) in (0, 3)  # strict inequality either way
+        assert kernels.count_below(d, e2, 1.0 + 1e-12) == 3
 
 
 class TestEigenvalueIndexed:
@@ -181,9 +137,8 @@ def tridiagonals(draw, max_n=24):
     return d, e2, draw(st.booleans())
 
 
-def _shape(v, as_list, mod):
-    # only the pure-Python kernel takes lists; the compiled one is typed
-    return list(v) if as_list and mod is pure else kernels.as_kernel_array(v)
+def _shape(v, as_list):
+    return list(v) if as_list else np.asarray(v, dtype=float)
 
 
 def _on_eigenvalue(draw, d, e2):
@@ -194,7 +149,7 @@ def _on_eigenvalue(draw, d, e2):
 @st.composite
 def dominant_tails(draw, max_head=12, max_tail=28):
     """(d, e2, xs): a random head, then a tail whose diagonal sits at or just
-    above 2 sqrt(max e2), where the pure sweep may stop early. Whole matrices
+    above 2 sqrt(max e2), where the sweep may stop early. Whole matrices
     are scaled over 300 decades; some have all-zero off-diagonals or a NaN or
     infinite entry. xs: probes at the dense eigenvalues, at 0 and just below
     it, where the tail's dominance is decided."""
@@ -221,11 +176,6 @@ def dominant_tails(draw, max_head=12, max_tail=28):
     return d, e2, xs
 
 
-def _prepared(mod, e2):
-    # the off-diagonal as each backend's callers pass it after preparing it once
-    return kernels.as_kernel_off_sq(e2) if mod is kernels else pure._OffSq(e2)
-
-
 def test_preparing_twice_changes_nothing():
     rng = np.random.default_rng(5)
     d, e = random_tridiag(rng, 40)
@@ -244,9 +194,8 @@ class TestLoopEquivalence:
     def test_count_below(self, tri, x, data):
         d, e2, as_list = tri
         for xv in (x, _on_eigenvalue(data.draw, d, e2)):
-            for name, mod in BACKENDS:
-                got = mod.count_below(_shape(d, as_list, mod), _shape(e2, as_list, mod), xv)
-                assert got == loop_count_below(d, e2, xv), name
+            got = kernels.count_below(_shape(d, as_list), _shape(e2, as_list), xv)
+            assert got == loop_count_below(d, e2, xv)
 
     @settings(max_examples=300, deadline=None)
     @given(tri=tridiagonals(), x=finite, data=st.data(),
@@ -260,9 +209,8 @@ class TestLoopEquivalence:
         # the diagonal formed in numpy, as the oracle's radial level forms it
         diag = np.asarray(db) + c * np.asarray(dl)
         for xv in (x, _on_eigenvalue(data.draw, shifted, e2)):
-            for name, mod in BACKENDS:
-                got = mod.count_below(_shape(diag, as_list, mod), _shape(e2, as_list, mod), xv)
-                assert got == loop_count_below_affine(db, dl, c, e2, xv), name
+            got = kernels.count_below(_shape(diag, as_list), _shape(e2, as_list), xv)
+            assert got == loop_count_below_affine(db, dl, c, e2, xv)
 
 
     @settings(max_examples=300, deadline=None)
@@ -272,10 +220,9 @@ class TestLoopEquivalence:
         x = data.draw(st.sampled_from(xs))
         for xv in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
             want = loop_count_below(d, e2, xv)
-            for name, mod in BACKENDS:
-                diag = kernels.as_kernel_array(d)
-                assert mod.count_below(diag, kernels.as_kernel_array(e2), xv) == want, name
-                assert mod.count_below(diag, _prepared(mod, e2), xv) == want, name
+            diag = np.asarray(d, dtype=float)
+            assert kernels.count_below(diag, np.asarray(e2, dtype=float), xv) == want
+            assert kernels.count_below(diag, kernels.as_kernel_off_sq(e2), xv) == want
 
     @settings(max_examples=25, deadline=None)
     @given(strength=st.floats(0.05, 1.0), lam=st.sampled_from([0.0, 2.0, 2.1479, 6.0]),
@@ -301,12 +248,11 @@ class TestLoopEquivalence:
         stopped_early = 0
         for diag, x in probes:
             want = loop_count_below(diag, e2, x)
-            for name, mod in BACKENDS:
-                assert mod.count_below(diag, _prepared(mod, e2), x) == want, name
-            poisoned = pure._OffSq(e2)
+            assert kernels.count_below(diag, kernels.as_kernel_off_sq(e2), x) == want
+            poisoned = kernels._OffSq(e2)
             poisoned[-1] = poison[-1]
             if loop_count_below(diag, poison, x) != want:
-                stopped_early += pure.count_below(diag, poisoned, x) == want
+                stopped_early += kernels.count_below(diag, poisoned, x) == want
         assert stopped_early or not probes
 
 

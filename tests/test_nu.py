@@ -24,7 +24,6 @@ from kgring.nu import (
     Family,
     NUProblem,
     branches,
-    candidate_k,
     classify,
     phi_parameters,
     select_physical,
@@ -123,8 +122,8 @@ class TestProblemConstruction:
 
 class TestRadialChain:
     def test_candidates_exact(self):
-        ks = candidate_k(radial_case())
-        assert ks == [9, 27]
+        ks = solution_chain(radial_case()).candidates
+        assert ks == (9, 27)
         assert all(isinstance(k, Fraction) for k in ks)
 
     def test_branches_at_physical_k(self):
@@ -191,7 +190,7 @@ class TestRadialChain:
 
 class TestAngularChain:
     def test_candidates_exact(self):
-        assert candidate_k(angular_case()) == [16, 19]
+        assert solution_chain(angular_case()).candidates == (16, 19)
 
     def test_selected_branch(self):
         chain = solution_chain(angular_case())
@@ -222,7 +221,7 @@ class TestDegenerateLegendre:
         return angular_nu_problem(p, 0, 0, 2)
 
     def test_single_candidate(self):
-        assert candidate_k(self.problem()) == [2]
+        assert solution_chain(self.problem()).candidates == (2,)
 
     def test_radicand_vanishes_identically(self):
         rad = self.problem().radicand(F(2))
@@ -281,11 +280,10 @@ class TestHermiteRoute:
 class TestFailureModes:
     def test_no_physical_branch(self):
         prob = NUProblem(Poly([0, 1]), Poly([0, 4]), Poly([0, -1, 4]))
-        ks = candidate_k(prob)
-        assert ks == [1]
-        pair = branches(prob, ks[0])
+        pair = branches(prob, F(1))
         assert [b.tau_prime for b in pair] == [0, 0]
-        # the message lists every branch's tau', so no caller rebuilds them
+        # the message lists every branch's tau', so no caller rebuilds them;
+        # k = 1 is the only candidate
         with pytest.raises(NoPhysicalBranch) as info:
             solution_chain(prob)
         assert str(info.value) == "k = 1, sign +: tau' = 0; k = 1, sign -: tau' = 0"
@@ -303,13 +301,13 @@ class TestFailureModes:
     def test_no_real_k(self):
         # constant radicand: the k-condition degenerates to 0 = 0
         with pytest.raises(NoRealK):
-            candidate_k(NUProblem(Poly([1]), Poly([0]), Poly([0])))
+            solution_chain(NUProblem(Poly([1]), Poly([0]), Poly([0])))
         # disc_k = k^2 + 3 stays positive: no real root at all
         with pytest.raises(NoRealK):
-            candidate_k(NUProblem(Poly([0, 1]), Poly([0]), Poly([1, 0, -1])))
+            solution_chain(NUProblem(Poly([0, 1]), Poly([0]), Poly([1, 0, -1])))
         # double root k = 0 exists but leaves radicand = -s^2: not a square
         with pytest.raises(NoRealK):
-            candidate_k(NUProblem(Poly([0, 1]), Poly([0]), Poly([F(1, 4), 0, 1])))
+            solution_chain(NUProblem(Poly([0, 1]), Poly([0]), Poly([F(1, 4), 0, 1])))
 
     def test_unclassified_sigma(self):
         with pytest.raises(UnclassifiedSigma):
