@@ -52,26 +52,45 @@ def dense_eigs(d, e):
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
+def _as_floats(v):
+    return [float(x) for x in v]
+
+
+# The one kernel, fed numpy arrays and plain lists of floats. The case ids
+# keep the names these cases have printed since they ran once per backend;
+# the list case stands where the pure-Python module, since folded into
+# kernels, used to.
+INPUT_SHAPES = [
+    pytest.param(np.asarray, id="dispatched-kgring.kernels"),
+    pytest.param(_as_floats, id="pure-kgring._sturm_py"),
+]
+
+
+def _count(shape, diag, off_sq, x):
+    return kernels.count_below(shape(diag), shape(off_sq), x)
+
+
+@pytest.mark.parametrize("shape", INPUT_SHAPES)
 class TestCountBelow:
-    def test_matches_dense_counts(self):
+    def test_matches_dense_counts(self, shape):
         rng = np.random.default_rng(7)
         for trial in range(8):
             d, e = random_tridiag(rng, 50)
             eigs = dense_eigs(d, e)
             e2 = e * e
             for x in (-4.0, -1.0, 0.0, 0.5, 2.0, 5.0):
-                assert kernels.count_below(d, e2, x) == int(np.sum(eigs < x))
+                assert _count(shape, d, e2, x) == int(np.sum(eigs < x))
 
-    def test_count_at_midpoints_is_exact_index(self):
+    def test_count_at_midpoints_is_exact_index(self, shape):
         rng = np.random.default_rng(11)
         d, e = random_tridiag(rng, 30)
         eigs = dense_eigs(d, e)
         e2 = e * e
         mids = 0.5 * (eigs[:-1] + eigs[1:])
         for i, x in enumerate(mids):
-            assert kernels.count_below(d, e2, float(x)) == i + 1
+            assert _count(shape, d, e2, float(x)) == i + 1
 
-    def test_affine_consistency(self):
+    def test_affine_consistency(self, shape):
         rng = np.random.default_rng(3)
         d0 = rng.normal(0.0, 1.0, 40)
         d1 = rng.normal(0.0, 1.0, 40)
@@ -79,18 +98,18 @@ class TestCountBelow:
         e2 = e * e
         for c in (-1.5, 0.0, 0.7, 3.0):
             for x in (-2.0, 0.0, 1.0):
-                assert kernels.count_below(d0 + c * d1, e2, x) == loop_count_below_affine(d0, d1, c, e2, x)
+                assert _count(shape, d0 + c * d1, e2, x) == loop_count_below_affine(d0, d1, c, e2, x)
 
-    def test_single_row(self):
-        assert kernels.count_below(np.array([2.0]), np.zeros(0), 1.0) == 0
-        assert kernels.count_below(np.array([2.0]), np.zeros(0), 3.0) == 1
+    def test_single_row(self, shape):
+        assert _count(shape, np.array([2.0]), np.zeros(0), 1.0) == 0
+        assert _count(shape, np.array([2.0]), np.zeros(0), 3.0) == 1
 
-    def test_degenerate_pivot_does_not_crash(self):
+    def test_degenerate_pivot_does_not_crash(self, shape):
         # hitting an eigenvalue exactly forces the tiny-pivot clamp
         d = np.array([1.0, 1.0, 1.0])
         e2 = np.zeros(2)
-        assert kernels.count_below(d, e2, 1.0) in (0, 3)  # strict inequality either way
-        assert kernels.count_below(d, e2, 1.0 + 1e-12) == 3
+        assert _count(shape, d, e2, 1.0) in (0, 3)  # strict inequality either way
+        assert _count(shape, d, e2, 1.0 + 1e-12) == 3
 
 
 class TestEigenvalueIndexed:
