@@ -200,8 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="closed form vs finite differences")
     _add_shared(vf)
     _add_ranges(vf)
-    vf.add_argument("--points", type=int, default=4000)
-    vf.add_argument("--refine", type=int, default=2)
+    vf.add_argument("--points", type=int, default=4000,
+                    help="radial grid points at the coarsest level; the polar grid "
+                         "is sized from m and n")
+    vf.add_argument("--refine", type=int, default=2,
+                    help="grid halvings to extrapolate over; the polar ladder takes 3 more")
     vf.add_argument("--vtol", type=float, default=1e-5)
     vf.set_defaults(func=lambda args: cmd_verify(args))
 

@@ -2,15 +2,19 @@
 
 Everything here is re-derived from the differential equations themselves:
 three-point (radial) and factored cell-centred (polar) discretizations,
-Sturm-count eigenvalue location, and Richardson extrapolation in h^2, h^4,
-... over exact grid halvings. None of the closed forms from `bound_states` or
-the reduction machinery from `nu` is used, so agreement between the two
-routes is evidence, not tautology.
+Sturm-count eigenvalue location, and Richardson extrapolation over levels
+whose cells double, in the error orders each scheme is known to have: h^2,
+h^4, ... plus the fractional orders that the ODE's indicial exponents put
+below 4. None of the closed forms from `bound_states` or the reduction
+machinery from `nu` is used, so agreement between the two routes is
+evidence, not tautology.
 
 Radial: -u'' + (lam/r^2 - A(eps)/r) u = (eps^2 - mass^2) u on (0, r_max) with
 Dirichlet walls, A(eps) = c(eps) |alpha|, solved for eps as the energy where
 the (N+1)-th eigenvalue of the FD matrix crosses eps^2 - mass^2; one pivot
-sweep per probe energy, no eigenvectors.
+sweep per probe energy, no eigenvectors. For u ~ r^(l+1), l(l+1) = lam, the
+scheme's leading error is h^(2l+1) when 2l + 1 = sqrt(1 + 4 lam) lies in
+(1, 2), and h^2 otherwise.
 
 Polar: -( (1-x^2) f' )' + (m^2 + beta_eff + gamma_eff x)/(1-x^2) f
 = lam f on (-1, 1). Both endpoints are regular-singular with indicial
@@ -19,7 +23,9 @@ enough to ruin a plain second-order scheme. Writing f = phi g with phi the
 product of those endpoint powers leaves a problem for g with a smooth
 solution and natural ends, which a cell-centred scheme with exactly
 integrated weight moments solves to second order in h (Pryce, Numerical
-Solution of Sturm-Liouville Problems, 1993).
+Solution of Sturm-Liouville Problems, 1993), with further terms h^(2+2a) and
+h^(2+2b) from the endpoint powers. Its grid is sized by the equation, not by
+`GridSpec.points`: a coarse base that grows with |m| and n, then halvings.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState, SolverError
+from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
 from .kernels import as_kernel_off_sq, bisect, count_below, eigenvalue_indexed, within_bounds
 
 if TYPE_CHECKING:  # only the parameter bundle's attributes are used
@@ -42,10 +48,12 @@ if TYPE_CHECKING:  # only the parameter bundle's attributes are used
 class GridSpec:
     """Grid controls shared by both checks.
 
-    points: interior nodes at the coarsest level (halved h per refinement);
-        the polar check uses points + 1 cells, whose inner faces are those
-        nodes on (-1, 1).
-    refinement: extra halved-h levels used for extrapolation.
+    points: radial interior nodes at the coarsest level (halved h per
+        refinement). The polar check sizes its own base grid from m and n
+        (see `angular_numeric_lambda`).
+    refinement: extra halved-h levels used for extrapolation; the polar
+        ladder always has three levels more, and neither route certifies a
+        tolerance at refinement 0.
     r_max: radial box; None picks one from the problem's own length scale.
     """
 
@@ -62,19 +70,24 @@ class GridSpec:
             raise DomainError(f"r_max must be positive, got {self.r_max}")
 
 
-def _extrapolate(vals: Sequence[float]) -> list[float]:
-    """Richardson in h^2, h^4, ... over exact h-halvings; the stage diagonal.
+def _extrapolate(vals: Sequence[float], orders: Sequence[float]) -> list[float]:
+    """Richardson over levels whose cells double; the stage diagonal.
 
-    Stage s has the orders h^2 .. h^(2s) eliminated; diag[-1] is the final
-    estimate and diag[-1] - diag[-2] the last applied correction.
+    Stage s removes the error term h^orders[s-1], dividing by 2^p - 1; diag[-1]
+    is the final estimate and diag[-1] - diag[-2] the last applied correction.
     """
     est = list(vals)
     diag = [est[-1]]
-    for s in range(1, len(vals)):
-        f = 4.0 ** s
+    for p in orders[:len(vals) - 1]:
+        f = 2.0 ** p
         est = [(f * est[i + 1] - est[i]) / (f - 1.0) for i in range(len(est) - 1)]
         diag.append(est[-1])
     return diag
+
+
+def _orders(count: int, fractional: Sequence[float]) -> list[float]:
+    """The `count` lowest error orders: 2, 4, 6, ... and the given fractional ones, each once."""
+    return sorted({*fractional, *(2.0 * k for k in range(1, count + 1))})[:count]
 
 
 def _certify(diag: Sequence[float], tol: float | None, scale: float, refinement: int) -> None:
@@ -82,11 +95,11 @@ def _certify(diag: Sequence[float], tol: float | None, scale: float, refinement:
         return
     if refinement < 1:
         raise GridTooCoarse("cannot certify a tolerance without refinement; raise refinement")
+    # with every known order removed, the error left is below the last correction
     drift = abs(diag[-1] - diag[-2]) / scale
-    if drift > 10.0 * tol:
-        raise GridTooCoarse(
-            f"last extrapolation correction {drift:.2e} (scaled) exceeds 10 * tol = {10 * tol:.2e}"
-        )
+    if drift > tol:
+        raise GridTooCoarse(f"last extrapolation correction {drift:.2e} (scaled) exceeds "
+                            f"tol = {tol:.2e}")
 
 
 def _level_points(points: int, level: int) -> int:
@@ -107,12 +120,12 @@ def radial_numeric_energy(
     where the count predicate flips, by bisecting the edges by index, then
     bisects the cell to the grid's own accuracy; finer levels probe only
     inside bounds verified around the coarser level's value, which moves
-    them no bit. Level 0 takes no coarse-grid seed, unlike the polar route:
-    a grid 16 times coarser lands about 1e-4 mass from it, so the seed's
-    probes would cost more than the dozen they save. Then extrapolates in
-    h^2, h^4, ... With `tol` given, certifies that the last correction is
-    consistent with that tolerance (relative to mass) or raises
-    GridTooCoarse.
+    them no bit. Level 0 takes no guess: a grid 16 times coarser lands
+    about 1e-4 mass from it, so its probes would cost more than the dozen
+    they save. Then extrapolates in h^r with r = sqrt(1 + 4 lam) where
+    1 < r < 2 (the u ~ r^(l+1) term; at lam = 0 it vanishes), then h^2, h^4,
+    ... With `tol` given, certifies that the last correction is consistent
+    with that tolerance (relative to mass) or raises GridTooCoarse.
     """
     if not isinstance(N, int) or N < 0:
         raise DomainError(f"N must be a non-negative int, got {N!r}")
@@ -139,7 +152,8 @@ def radial_numeric_energy(
     for j in range(grid.refinement + 1):
         npts = _level_points(grid.points, j)
         vals.append(_radial_level(mass, strength, lam, N, r_max, npts, _coarser(vals)))
-    diag = _extrapolate(vals)
+    r = math.sqrt(1.0 + 4.0 * lam)
+    diag = _extrapolate(vals, _orders(grid.refinement, [r] if 1.0 < r < 2.0 else []))
     _certify(diag, tol, mass, grid.refinement)
     return diag[-1]
 
@@ -191,6 +205,10 @@ def _radial_level(
     return bisect(below, edges[i], edges[j], 1e-14, mass)
 
 
+# the finest polar level's cell limit; a level peaks at about 190 bytes a cell
+_MAX_POLAR_CELLS = 1 << 20
+
+
 def angular_numeric_lambda(
     beta_eff: float,
     gamma_eff: float,
@@ -203,18 +221,15 @@ def angular_numeric_lambda(
 
     The endpoint exponents a (x = +1) and b (x = -1) come from the indicial
     equation of the ODE; each level discretises the factored problem for g
-    (see `_angular_level`) on (points + 1) * 2^level cells, and the levels
-    are extrapolated in h^2, h^4, ... Each level passes a guess to
-    `eigenvalue_indexed` as bounds, which saves sweeps and changes no bit:
-    level 0 the same eigenvalue on a grid 16 times coarser (see
-    `_polar_seed`), each finer level the coarser level's value. At n = 0,
-    where g is constant, the seed lands about 1e-10 away and level 0 takes
-    about 23 probes instead of 70 from the whole Gershgorin enclosure, plus
-    about 60 on the coarse grid; for n >= 1 it lands O(h^2) away and level
-    0 still takes 51-58, so the seed saves only about 10-20% of the pivot
-    steps there, its probes being 16 times shorter. With `tol` given, certifies the last
-    extrapolation correction relative to max(1, |lam|) or raises
-    GridTooCoarse.
+    (see `_angular_level`). Level 0 has 100 cells times ceil(max(sqrt|m|,
+    n + 1) / 4), since the mode narrows like 1/sqrt|m| and g has n nodes;
+    `grid.refinement` + 3 levels follow, the cells doubling each time, and
+    are extrapolated in h^2, then h^(2+2b) and h^(2+2a) where they lie
+    between 2 and 4, then h^4, h^6, ... Finer grids would only add rounding,
+    which grows like 1/h^2. Each finer level passes the coarser level's
+    value to `eigenvalue_indexed` as bounds, which saves sweeps and changes
+    no bit. With `tol` given, certifies the last extrapolation correction
+    relative to max(1, |lam|) or raises GridTooCoarse.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise DomainError(f"m must be an int, got {m!r}")
@@ -224,34 +239,22 @@ def angular_numeric_lambda(
     mm = m * m + beta_eff
     if mm < abs(gamma_eff):
         raise ComplexU(f"m^2 + beta_eff = {mm} < |gamma_eff| = {abs(gamma_eff)}")
+    base = 100 * math.ceil(max(math.sqrt(abs(m)), n + 1) / 4)
+    levels = grid.refinement + 3
+    if base << (levels - 1) > _MAX_POLAR_CELLS:
+        raise DomainError(f"m = {m}, n = {n} and refinement {grid.refinement} need "
+                          f"{base << (levels - 1)} polar cells, over {_MAX_POLAR_CELLS}")
 
     # f ~ (1 -+ x)^e at x -> +-1 with e^2 = (m^2 + beta_eff +- gamma_eff) / 4
     a = 0.5 * math.sqrt(mm + gamma_eff)
     b = 0.5 * math.sqrt(mm - gamma_eff)
     vals: list[float] = []
-    for j in range(grid.refinement + 1):
-        cells = _level_points(grid.points, j) + 1
-        bounds = _coarser(vals) if vals else _polar_seed(mm, gamma_eff, a, b, n, grid.points)
-        vals.append(_angular_level(mm, gamma_eff, a, b, n, cells, bounds))
-    diag = _extrapolate(vals)
+    for j in range(levels):
+        vals.append(_angular_level(mm, gamma_eff, a, b, n, base << j, _coarser(vals)))
+    fractional = [p for p in (2.0 + 2.0 * a, 2.0 + 2.0 * b) if 2.0 < p < 4.0]
+    diag = _extrapolate(vals, _orders(levels - 1, fractional))
     _certify(diag, tol, max(1.0, abs(diag[-1])), grid.refinement)
     return diag[-1]
-
-
-def _polar_seed(mm: float, gamma_eff: float, a: float, b: float, n: int, points: int):
-    """Bounds for polar level 0: the same eigenvalue on a grid 16 times coarser.
-
-    Where that grid would fall below GridSpec's 100-point floor, or the seed
-    raises a SolverError, level 0 goes unguided; the guess, checked by
-    `within_bounds`, changes only how many sweeps level 0 runs.
-    """
-    cells = (points + 1) // 16
-    if cells - 1 < 100:
-        return None
-    try:
-        return _coarser([_angular_level(mm, gamma_eff, a, b, n, cells)])
-    except SolverError:
-        return None
 
 
 def _polar_q(mm: float, gamma_eff: float, x):
