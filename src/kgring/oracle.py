@@ -95,16 +95,11 @@ def _certify(diag: Sequence[float], tol: float | None, scale: float, refinement:
         return
     if refinement < 1:
         raise GridTooCoarse("cannot certify a tolerance without refinement; raise refinement")
-    # with every known order removed, the error left is below the last correction
+    # the last correction stands in for the error that the known orders leave: it must fit tol
     drift = abs(diag[-1] - diag[-2]) / scale
     if drift > tol:
         raise GridTooCoarse(f"last extrapolation correction {drift:.2e} (scaled) exceeds "
                             f"tol = {tol:.2e}")
-
-
-def _level_points(points: int, level: int) -> int:
-    # (points+1)*2^level - 1 interior nodes halves h exactly at each level
-    return (points + 1) * 2 ** level - 1
 
 
 def radial_numeric_energy(
@@ -150,7 +145,7 @@ def radial_numeric_energy(
 
     vals: list[float] = []
     for j in range(grid.refinement + 1):
-        npts = _level_points(grid.points, j)
+        npts = (grid.points + 1) * 2 ** j - 1  # h halves exactly at each level
         vals.append(_radial_level(mass, strength, lam, N, r_max, npts, _coarser(vals)))
     r = math.sqrt(1.0 + 4.0 * lam)
     diag = _extrapolate(vals, _orders(grid.refinement, [r] if 1.0 < r < 2.0 else []))

@@ -276,7 +276,7 @@ class TestAngularProperties:
     def test_matches_50_digit_value_and_gamma_symmetry(self, m, n, beta_eff, tilt):
         gamma_eff = tilt * (m * m + beta_eff)
         lam = angular_numeric_lambda(beta_eff, gamma_eff, m, n, self.GRID)
-        # 1,800 random draws of this distribution came within 6.6e-10 of the
+        # 3,000 random draws of this distribution came within 7.2e-10 of the
         # reference, relative; the worst sit at tilts near -+1, where one
         # exponent is small but nonzero
         want = polar_lambda_50(beta_eff, gamma_eff, m, n)
@@ -380,11 +380,12 @@ class TestCertification:
     def test_radial(self, alpha, lam, N, tol):
         self.check_radial(alpha, lam, N, GridSpec(), tol)
 
-    @pytest.mark.parametrize("lam, N, grid", [(0.0, 0, GridSpec(points=400)),
-                                             (1e-6, 0, GridSpec(points=400)),
-                                             (0.404, 1, GridSpec(points=400))])
-    def test_radial_coarse(self, lam, N, grid):
-        self.check_radial(0.2, lam, N, grid, 1e-5)
+    # at the golden's m = 0 lambda and N = 1, 400 points put the energy 1.2e-6
+    # off with a last correction of 4.9e-6: certified at tol 1e-5, refused at 1e-6
+    @pytest.mark.parametrize("lam, N, tol", [(0.0, 0, 1e-7), (1e-6, 0, 1e-5),
+                                             (0.404, 1, 1e-5), (0.404, 1, 1e-6)])
+    def test_radial_coarse(self, lam, N, tol):
+        self.check_radial(0.2, lam, N, GridSpec(points=400), tol)
 
     @pytest.mark.xfail(strict=True, reason="on 400 points a 2 < 2l + 1 < 3 term is left in, "
                                            "and the last correction is 3.4 times below the error")
@@ -405,9 +406,13 @@ def extrapolated_levels(call):
     """The levels and orders a call hands to `_extrapolate`, and the value it returns."""
     seen = []
     inner = kgring.oracle._extrapolate
+
+    def spy(vals, orders):
+        seen.append((list(vals), list(orders)))
+        return inner(vals, orders)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kgring.oracle, "_extrapolate",
-                   lambda vals, orders: seen.append((list(vals), list(orders))) or inner(vals, orders))
+        mp.setattr(kgring.oracle, "_extrapolate", spy)
         got = call()
     (vals, orders), = seen
     return vals, orders, got
@@ -466,11 +471,11 @@ class TestVerifyGolden:
         moved = set()
         for r in rows:
             N, n, m = int(r["N"]), int(r["n"]), int(r["m"])
-            st = solve_bound_state(params, QuantumNumbers(N, n, m))
-            lam = float(st.separation_lambda)
+            state = solve_bound_state(params, QuantumNumbers(N, n, m))
+            lam = float(state.separation_lambda)
             refs = {"energy_fd": (radial_energy_50(params, lam, N), 1.0),
-                    "lambda_fd": (polar_lambda_50(float(st.angular.beta_eff),
-                                                  float(st.angular.gamma_eff), m, n),
+                    "lambda_fd": (polar_lambda_50(float(state.angular.beta_eff),
+                                                  float(state.angular.gamma_eff), m, n),
                                   max(1.0, abs(lam)))}
             for field, old in zip(("energy_fd", "lambda_fd"), self.BEFORE[(N, n, abs(m))]):
                 new = float(r[field])
