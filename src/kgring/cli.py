@@ -340,14 +340,13 @@ def cmd_wavefunction(args) -> int:
 def _residual_pair(params, st):
     """Normalized ODE defects of the sampled closed-form factors."""
     mass = float(params.mass)
-    strength = params.coupling_factor * abs(float(params.alpha))
     eps, lam = st.energy, float(st.separation_lambda)
     a_coup = params.coupling_factor * (eps + mass) * abs(float(params.alpha))
     r_out = (4.0 * st.n_prime + 25.0) / (2.0 * st.kappa)
     r = np.linspace(0.02 * r_out, 0.6 * r_out, 1501)
     u = radial_wavefunction(st, r)
 
-    def c_radial(rv: float) -> float:
+    def c_radial(rv: np.ndarray) -> np.ndarray:
         return (eps * eps - mass * mass) - lam / (rv * rv) + a_coup / rv
 
     x = np.linspace(-0.9, 0.9, 1501)
@@ -356,7 +355,7 @@ def _residual_pair(params, st):
     mm = st.numbers.m ** 2 + float(st.angular.beta_eff)
     ge = float(st.angular.gamma_eff)
 
-    def c_polar(xv: float) -> float:
+    def c_polar(xv: np.ndarray) -> np.ndarray:
         s = 1.0 - xv * xv
         return (lam * s - mm - ge * xv + 1.0) / (s * s)
 
@@ -502,8 +501,9 @@ def _nu_text(p: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flatten(payload, prefix="") -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
+def _flatten(payload, prefix="") -> list[dict]:
+    """The payload's leaves as {"key": dotted path, "value": cell text} rows."""
+    rows: list[dict] = []
     if isinstance(payload, dict):
         for k, v in payload.items():
             rows.extend(_flatten(v, f"{prefix}{k}."))
@@ -511,14 +511,8 @@ def _flatten(payload, prefix="") -> list[tuple[str, str]]:
         for i, v in enumerate(payload):
             rows.extend(_flatten(v, f"{prefix}{i}."))
     else:
-        rows.append((prefix[:-1], _cell(payload)))
+        rows.append({"key": prefix[:-1], "value": _cell(payload)})
     return rows
-
-
-def _nu_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *_flatten(payload)])
-    return buf.getvalue()
 
 
 def cmd_nu_reduce(args) -> int:
@@ -541,7 +535,7 @@ def cmd_nu_reduce(args) -> int:
         var = "x"
     chain = solution_chain(problem)
     lambda_bar_n = None if args.degree is None else chain.quantization.evaluate(args.degree)
-    emit = {"text": _nu_text, "csv": _nu_csv,
+    emit = {"text": _nu_text, "csv": lambda payload: _emit_csv(_flatten(payload), ("key", "value")),
             "json": lambda payload: json.dumps(payload, indent=2) + "\n"}[args.format]
     try:
         text = emit(_nu_payload(chain, var, args.target, args.degree, lambda_bar_n))

@@ -46,6 +46,8 @@ _PIVMIN = 1e-290
 # the steps swept between tail checks once the last non-dominant diagonal is past
 _TAIL_FLOOR = 1e-280
 _CHUNK = 512
+# the relative bracket width at which the bisection drivers stop
+_REL_TOL = 1e-14
 
 
 class _OffSq(list):
@@ -112,15 +114,15 @@ def as_kernel_off_sq(off_sq):
     return off_sq if type(off_sq) is _OffSq else _OffSq(off_sq)
 
 
-def bisect(below, lo: float, hi: float, rel_tol: float, scale: float = 1.0) -> float:
+def bisect(below, lo: float, hi: float, scale: float = 1.0) -> float:
     """Midpoint of the final bracket of a monotone predicate's crossing.
 
     `below(x)` is true left of the crossing and false right of it; `below(lo)`
     and `not below(hi)` are taken as given. Halves (lo, hi) until it is no
-    wider than rel_tol * max(scale, |lo|, |hi|) or the midpoint rounds onto
+    wider than _REL_TOL * max(scale, |lo|, |hi|) or the midpoint rounds onto
     an end.
     """
-    while hi - lo > rel_tol * max(scale, abs(lo), abs(hi)):
+    while hi - lo > _REL_TOL * max(scale, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -131,12 +133,12 @@ def bisect(below, lo: float, hi: float, rel_tol: float, scale: float = 1.0) -> f
     return 0.5 * (lo + hi)
 
 
-def within_bounds(below, lo: float, hi: float, bounds, rel_tol: float, scale: float = 1.0):
+def within_bounds(below, lo: float, hi: float, bounds, scale: float = 1.0):
     """`below` that answers without a probe outside verified bounds.
 
     `bounds` = (a, b) is a guess at an interval around the crossing. Each
     side starts half its width from its centre (at least the resolution
-    rel_tol * max(scale, |centre|) that `bisect` stops at) and moves out
+    _REL_TOL * max(scale, |centre|) that `bisect` stops at) and moves out
     fourfold until one probe confirms it: below(a) true, below(b) false. A
     side pushed back to lo or hi without confirming implies nothing.
     For a monotone `below` the answers outside (a, b) are then already known,
@@ -148,7 +150,7 @@ def within_bounds(below, lo: float, hi: float, bounds, rel_tol: float, scale: fl
     centre = 0.5 * (a + b)
     if not math.isfinite(centre):
         return below
-    half = max(0.5 * abs(b - a), rel_tol * max(scale, abs(centre)))
+    half = max(0.5 * abs(b - a), _REL_TOL * max(scale, abs(centre)))
 
     def confirmed(step: float, edge: float, want: bool) -> float:
         while True:
@@ -172,7 +174,7 @@ def within_bounds(below, lo: float, hi: float, bounds, rel_tol: float, scale: fl
     return probe
 
 
-def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14, bounds=None) -> float:
+def eigenvalue_indexed(diag, off, k: int, bounds=None) -> float:
     """k-th smallest eigenvalue of the symmetric tridiagonal (diag, off).
 
     Sturm bisection inside the Gershgorin enclosure: count_below(x) <= k
@@ -203,5 +205,5 @@ def eigenvalue_indexed(diag, off, k: int, rel_tol: float = 1e-14, bounds=None) -
         return count_below(d, e2, x) <= k
 
     if bounds is not None:
-        below = within_bounds(below, lo, hi, bounds, rel_tol)
-    return bisect(below, lo, hi, rel_tol)
+        below = within_bounds(below, lo, hi, bounds)
+    return bisect(below, lo, hi)

@@ -2,19 +2,19 @@
 
 Everything here is re-derived from the differential equations themselves:
 three-point (radial) and factored cell-centred (polar) discretizations,
-Sturm-count eigenvalue location, and Richardson extrapolation over levels
-whose cells double, in the error orders each scheme is known to have: h^2,
-h^4, ... plus the fractional orders that the ODE's indicial exponents put
-below 4. None of the closed forms from `bound_states` or the reduction
-machinery from `nu` is used, so agreement between the two routes is
-evidence, not tautology.
+Sturm-count eigenvalue location, and one Richardson ladder (`_ladder`) over
+levels whose cells double, in the error orders each scheme is known to
+have: h^2, h^4, ... plus the fractional orders that the ODE's indicial
+exponents put below 4. None of the closed forms from `bound_states` or the
+reduction machinery from `nu` is used, so agreement between the two routes
+is evidence, not tautology.
 
 Radial: -u'' + (lam/r^2 - A(eps)/r) u = (eps^2 - mass^2) u on (0, r_max) with
 Dirichlet walls, A(eps) = c(eps) |alpha|, solved for eps as the energy where
 the (N+1)-th eigenvalue of the FD matrix crosses eps^2 - mass^2; one pivot
-sweep per probe energy, no eigenvectors. For u ~ r^(l+1), l(l+1) = lam, the
-scheme's leading error is h^(2l+1) when 2l + 1 = sqrt(1 + 4 lam) lies in
-(1, 2), and h^2 otherwise.
+sweep per probe energy, no eigenvectors; r_max follows from the problem's
+own length scale. For u ~ r^(l+1), l(l+1) = lam, the scheme's leading error
+is h^(2l+1) when 2l + 1 = sqrt(1 + 4 lam) lies in (1, 2), and h^2 otherwise.
 
 Polar: -( (1-x^2) f' )' + (m^2 + beta_eff + gamma_eff x)/(1-x^2) f
 = lam f on (-1, 1). Both endpoints are regular-singular with indicial
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -49,25 +50,22 @@ class GridSpec:
     """Grid controls shared by both checks.
 
     points: radial interior nodes at the coarsest level (halved h per
-        refinement). The polar check sizes its own base grid from m and n
-        (see `angular_numeric_lambda`).
+        refinement), in a box the problem's length scale sets. The polar
+        check sizes its own base grid from m and n (see
+        `angular_numeric_lambda`).
     refinement: extra halved-h levels used for extrapolation; the polar
         ladder always has three levels more, and neither route certifies a
         tolerance at refinement 0.
-    r_max: radial box; None picks one from the problem's own length scale.
     """
 
     points: int = 4000
     refinement: int = 2
-    r_max: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.points, int) or self.points < 100:
             raise DomainError(f"points must be an int >= 100, got {self.points!r}")
         if not isinstance(self.refinement, int) or self.refinement < 0:
             raise DomainError(f"refinement must be an int >= 0, got {self.refinement!r}")
-        if self.r_max is not None and not float(self.r_max) > 0.0:
-            raise DomainError(f"r_max must be positive, got {self.r_max}")
 
 
 def _extrapolate(vals: Sequence[float], orders: Sequence[float]) -> list[float]:
@@ -90,16 +88,32 @@ def _orders(count: int, fractional: Sequence[float]) -> list[float]:
     return sorted({*fractional, *(2.0 * k for k in range(1, count + 1))})[:count]
 
 
-def _certify(diag: Sequence[float], tol: float | None, scale: float, refinement: int) -> None:
-    if tol is None:
-        return
-    if refinement < 1:
-        raise GridTooCoarse("cannot certify a tolerance without refinement; raise refinement")
-    # the last correction stands in for the error that the known orders leave: it must fit tol
-    drift = abs(diag[-1] - diag[-2]) / scale
-    if drift > tol:
-        raise GridTooCoarse(f"last extrapolation correction {drift:.2e} (scaled) exceeds "
-                            f"tol = {tol:.2e}")
+def _ladder(level: Callable[[int, tuple | None], float], sizes: Sequence[int],
+            fractional: Sequence[float], tol: float | None, refinement: int,
+            scale: Callable[[float], float]) -> float:
+    """Both routes' ladder: guided levels, extrapolation, certification.
+
+    `level(size, bounds)` solves one level; each after the first probes only
+    inside bounds verified around the coarser level's value, which moves it
+    no bit. The levels are extrapolated in `_orders` with `fractional`. With
+    `tol` given, certification needs refinement >= 1, and the last
+    correction, relative to scale(estimate), stands in for the error that
+    the known orders leave: it must fit tol, or GridTooCoarse is raised.
+    """
+    vals: list[float] = []
+    for size in sizes:
+        # the coarser level's value, give or take its last move
+        move = abs(vals[-1] - vals[-2]) if len(vals) > 1 else 0.0
+        vals.append(level(size, (vals[-1] - move, vals[-1] + move) if vals else None))
+    diag = _extrapolate(vals, _orders(len(vals) - 1, fractional))
+    if tol is not None:
+        if refinement < 1:
+            raise GridTooCoarse("cannot certify a tolerance without refinement; raise refinement")
+        drift = abs(diag[-1] - diag[-2]) / scale(diag[-1])
+        if drift > tol:
+            raise GridTooCoarse(f"last extrapolation correction {drift:.2e} (scaled) exceeds "
+                                f"tol = {tol:.2e}")
+    return diag[-1]
 
 
 def radial_numeric_energy(
@@ -111,16 +125,16 @@ def radial_numeric_energy(
 ) -> float:
     """Energy of the N-th radial level at separation constant lam.
 
-    On each refinement level, finds the cell of 65 edges across (-mass, mass)
-    where the count predicate flips, by bisecting the edges by index, then
-    bisects the cell to the grid's own accuracy; finer levels probe only
-    inside bounds verified around the coarser level's value, which moves
-    them no bit. Level 0 takes no guess: a grid 16 times coarser lands
-    about 1e-4 mass from it, so its probes would cost more than the dozen
-    they save. Then extrapolates in h^r with r = sqrt(1 + 4 lam) where
-    1 < r < 2 (the u ~ r^(l+1) term; at lam = 0 it vanishes), then h^2, h^4,
-    ... With `tol` given, certifies that the last correction is consistent
-    with that tolerance (relative to mass) or raises GridTooCoarse.
+    The box is (0, 80 n'^2 / ((eps0 + mass) c |alpha|)), n' = N + l + 1 and
+    eps0 the nonrelativistic level; only resolution depends on it. Each
+    level of the ladder (`_ladder`) bisects the count predicate's crossing
+    inside (-mass, mass) to the grid's own accuracy. Level 0 takes no
+    guess: a grid 16 times coarser lands about 1e-4 mass from it, so its
+    probes would cost more than the dozen they save. The levels are
+    extrapolated in h^r with r = sqrt(1 + 4 lam) where 1 < r < 2 (the
+    u ~ r^(l+1) term; at lam = 0 it vanishes), then h^2, h^4, ... With `tol`
+    given, certifies the last correction relative to mass or raises
+    GridTooCoarse.
     """
     if not isinstance(N, int) or N < 0:
         raise DomainError(f"N must be a non-negative int, got {N!r}")
@@ -132,33 +146,14 @@ def radial_numeric_energy(
     if strength == 0.0:
         raise NoBoundState("alpha = 0: nothing binds radially")
 
-    if grid.r_max is not None:
-        r_max = float(grid.r_max)
-    else:
-        # box from the problem's own (nonrelativistic) length scale; only
-        # resolution depends on this, not the answer
-        l_est = 0.5 * (math.sqrt(1.0 + 4.0 * lam) - 1.0)
-        npr_est = N + l_est + 1.0
-        eps0 = max(mass * (1.0 - strength * strength / (2.0 * npr_est * npr_est)), -0.9 * mass)
-        scale = (eps0 + mass) * strength  # underflowing: _radial_level finds no float grid
-        r_max = 80.0 * npr_est * npr_est / scale if scale > 0.0 else math.inf
-
-    vals: list[float] = []
-    for j in range(grid.refinement + 1):
-        npts = (grid.points + 1) * 2 ** j - 1  # h halves exactly at each level
-        vals.append(_radial_level(mass, strength, lam, N, r_max, npts, _coarser(vals)))
-    r = math.sqrt(1.0 + 4.0 * lam)
-    diag = _extrapolate(vals, _orders(grid.refinement, [r] if 1.0 < r < 2.0 else []))
-    _certify(diag, tol, mass, grid.refinement)
-    return diag[-1]
-
-
-def _coarser(vals: Sequence[float]):
-    """Guessed bounds for the next finer level: the last value, give or take its last move."""
-    if not vals:
-        return None
-    move = abs(vals[-1] - vals[-2]) if len(vals) > 1 else 0.0
-    return (vals[-1] - move, vals[-1] + move)
+    r = math.sqrt(1.0 + 4.0 * lam)  # 2l + 1
+    npr_est = N + 0.5 * (r - 1.0) + 1.0
+    eps0 = max(mass * (1.0 - strength * strength / (2.0 * npr_est * npr_est)), -0.9 * mass)
+    scale = (eps0 + mass) * strength  # underflowing: _radial_level finds no float grid
+    r_max = 80.0 * npr_est * npr_est / scale if scale > 0.0 else math.inf
+    sizes = [(grid.points + 1) * 2 ** j - 1 for j in range(grid.refinement + 1)]  # h halves
+    return _ladder(partial(_radial_level, mass, strength, lam, N, r_max), sizes,
+                   [r] if 1.0 < r < 2.0 else [], tol, grid.refinement, lambda v: mass)
 
 
 def _radial_level(
@@ -182,22 +177,12 @@ def _radial_level(
         target = eps * eps - mass * mass
         return count_below(dbase + (eps + mass) * dlin, off_sq, target) <= N
 
-    edges = np.linspace(-mass * (1.0 - 1e-9), mass * (1.0 - 1e-9), 65).tolist()
-    below = below_level
-    if bounds is not None:
-        below = within_bounds(below_level, edges[0], edges[-1], bounds, 1e-14, mass)
-    # the crossing cell among the edges, bisected by index: the predicate is
-    # monotone in eps, so the edges hold one true -> false step
-    i, j = 0, len(edges) - 1
-    if not below(edges[i]) or below(edges[j]):
+    lo, hi = -mass * (1.0 - 1e-9), mass * (1.0 - 1e-9)
+    below = below_level if bounds is None else within_bounds(below_level, lo, hi, bounds, mass)
+    # the predicate is monotone in eps: one true -> false step, or none
+    if not below(lo) or below(hi):
         raise NoBoundState(f"no level crossing for N = {N} inside (-mass, mass)")
-    while j - i > 1:
-        k = (i + j) // 2
-        if below(edges[k]):
-            i = k
-        else:
-            j = k
-    return bisect(below, edges[i], edges[j], 1e-14, mass)
+    return bisect(below, lo, hi, mass)
 
 
 # the finest polar level's cell limit; a level peaks at about 190 bytes a cell
@@ -219,12 +204,12 @@ def angular_numeric_lambda(
     (see `_angular_level`). Level 0 has 100 cells times ceil(max(sqrt|m|,
     n + 1) / 4), since the mode narrows like 1/sqrt|m| and g has n nodes;
     `grid.refinement` + 3 levels follow, the cells doubling each time, and
-    are extrapolated in h^2, then h^(2+2b) and h^(2+2a) where they lie
-    between 2 and 4, then h^4, h^6, ... Finer grids would only add rounding,
-    which grows like 1/h^2. Each finer level passes the coarser level's
-    value to `eigenvalue_indexed` as bounds, which saves sweeps and changes
-    no bit. With `tol` given, certifies the last extrapolation correction
-    relative to max(1, |lam|) or raises GridTooCoarse.
+    are extrapolated (`_ladder`) in h^2, then h^(2+2b) and h^(2+2a) where
+    they lie between 2 and 4, then h^4, h^6, ... Finer grids would only add
+    rounding, which grows like 1/h^2. Each finer level passes the coarser
+    level's value to `eigenvalue_indexed` as bounds, which saves sweeps and
+    changes no bit. With `tol` given, certifies the last extrapolation
+    correction relative to max(1, |lam|) or raises GridTooCoarse.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise DomainError(f"m must be an int, got {m!r}")
@@ -243,13 +228,10 @@ def angular_numeric_lambda(
     # f ~ (1 -+ x)^e at x -> +-1 with e^2 = (m^2 + beta_eff +- gamma_eff) / 4
     a = 0.5 * math.sqrt(mm + gamma_eff)
     b = 0.5 * math.sqrt(mm - gamma_eff)
-    vals: list[float] = []
-    for j in range(levels):
-        vals.append(_angular_level(mm, gamma_eff, a, b, n, base << j, _coarser(vals)))
     fractional = [p for p in (2.0 + 2.0 * a, 2.0 + 2.0 * b) if 2.0 < p < 4.0]
-    diag = _extrapolate(vals, _orders(levels - 1, fractional))
-    _certify(diag, tol, max(1.0, abs(diag[-1])), grid.refinement)
-    return diag[-1]
+    return _ladder(partial(_angular_level, mm, gamma_eff, a, b, n),
+                   [base << j for j in range(levels)], fractional, tol, grid.refinement,
+                   lambda v: max(1.0, abs(v)))
 
 
 def _polar_q(mm: float, gamma_eff: float, x):
@@ -310,12 +292,13 @@ def _angular_level(
     return eigenvalue_indexed(diag, off, n, bounds=bounds)
 
 
-def ode_residual(f, xs, coeff: Callable[[float], float]) -> float:
+def ode_residual(f, xs, coeff: Callable[[np.ndarray], np.ndarray]) -> float:
     """Normalized defect of f'' + coeff(x) f = 0 on a uniform sample.
 
     max interior |f''_FD + coeff f| * (window length)^2 / max |f|: a
     dimensionless number that shrinks fourfold when h halves over the same
-    window for a true solution.
+    window for a true solution. `coeff` is called once, on the array of
+    interior abscissae (a scalar result serves them all).
     """
     fv = np.asarray(f, dtype=float)
     xv = np.asarray(xs, dtype=float)
@@ -328,7 +311,7 @@ def ode_residual(f, xs, coeff: Callable[[float], float]) -> float:
     scale = float(np.max(np.abs(fv)))
     if scale == 0.0:
         return 0.0
-    c = np.asarray([coeff(float(t)) for t in xv[1:-1]], dtype=float)
+    c = np.asarray(coeff(xv[1:-1]), dtype=float)
     res = (fv[:-2] - 2.0 * fv[1:-1] + fv[2:]) / (h * h) + c * fv[1:-1]
     window = float(xv[-1] - xv[0])
     return float(np.max(np.abs(res)) * window * window / scale)
