@@ -46,7 +46,7 @@ _PIVMIN = 1e-290
 # the steps swept between tail checks once the last non-dominant diagonal is past
 _TAIL_FLOOR = 1e-280
 _CHUNK = 512
-# the relative bracket width at which the bisection drivers stop
+# the bracket width, relative to max(scale, |x|), at which `bisect` stops
 _REL_TOL = 1e-14
 
 
