@@ -156,17 +156,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_shared(p: argparse.ArgumentParser, scalar_type=float,
-                formats=("json", "csv")) -> None:
+def _add_potential(p: argparse.ArgumentParser, scalar_type) -> None:
     p.add_argument("--alpha", type=scalar_type, required=True, help="Coulomb strength")
     p.add_argument("--beta", type=scalar_type, required=True, help="ring strength")
     p.add_argument("--gamma", type=scalar_type, required=True, help="ring asymmetry")
     p.add_argument("--mass", type=scalar_type, required=True, help="particle mass (sets the scale)")
     p.add_argument("--coupling", choices=["halved", "full"], default="halved",
                    help="how V splits between scalar and vector terms")
+
+
+def _add_shared(p: argparse.ArgumentParser) -> None:
+    """The options of the commands that run the self-consistent solver."""
+    _add_potential(p, float)
     p.add_argument("--tol", type=float, default=1e-12, help="self-consistency tolerance (x mass)")
     p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    p.add_argument("--format", choices=list(formats), default="json")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _add_ranges(p: argparse.ArgumentParser) -> None:
@@ -211,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     nu = sub.add_parser("nu", help="reduction chains")
     nusub = nu.add_subparsers(dest="nu_command", required=True)
     rd = nusub.add_parser("reduce", help="print one equation's reduction chain")
-    _add_shared(rd, scalar_type=_scalar_arg, formats=("json", "csv", "text"))
+    _add_potential(rd, _scalar_arg)
+    rd.add_argument("--format", choices=["json", "csv", "text"], default="json")
     rd.add_argument("--target", choices=["radial", "angular"], required=True)
     rd.add_argument("--epsilon", type=_scalar_arg, required=True, help="energy in the coupling")
     rd.add_argument("--m", type=int, default=0, help="azimuthal number (angular target)")
@@ -437,12 +442,7 @@ def _branch_payload(b, var, selected) -> dict:
 
 def _nu_payload(chain: Chain, var: str, target: str, degree, lambda_bar_n) -> dict:
     problem, sel, q = chain.problem, chain.branch, chain.quantization
-    # a row is selected when it carries the selected pi at the selected k: in
-    # the Legendre case both signs give pi = 0 and both rows say so
-    branch_rows = [
-        _branch_payload(b, var, float(b.k) == float(sel.k) and b.pi.values == sel.pi.values)
-        for b in chain.branches
-    ]
+    branch_rows = [_branch_payload(b, var, chain.selects(b)) for b in chain.branches]
     payload = {
         "target": target,
         "variable": var,

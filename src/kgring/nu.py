@@ -45,7 +45,7 @@ from .errors import (
     NotAPerfectSquare,
     UnclassifiedSigma,
 )
-from .polynomials import Poly, Scalar, perfect_square_root, quad_discriminant, scalar_sqrt
+from .polynomials import REL_TOL, Poly, Scalar, perfect_square_root, quad_discriminant, scalar_sqrt
 
 _HALF = Fraction(1, 2)
 
@@ -111,9 +111,8 @@ class NUBranch:
 
 @dataclass(frozen=True)
 class Quantization:
-    """lambda_bar_n = constant + linear*n + quadratic*n^2 for the family."""
+    """lambda_bar_n = constant + linear*n + quadratic*n^2."""
 
-    family: Family
     constant: Scalar
     linear: Scalar
     quadratic: Scalar
@@ -153,8 +152,16 @@ class Chain:
     phi: PhiFactor
     quantization: Quantization
 
+    def selects(self, b: NUBranch) -> bool:
+        """Whether b is the selected branch; with pi = 0 (Legendre) both signs are."""
+        return _identity(b) == _identity(self.branch)
 
-def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar, rel_tol: float) -> list:
+
+def _identity(b: NUBranch) -> tuple:
+    return float(b.k), b.pi.values  # the same pi at the same k is the same branch
+
+
+def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar) -> list:
     """Real roots of d2 k^2 + d1 k + d0, exact when the inputs allow it.
 
     The exact track is the float one at zero tolerance; only the final pair
@@ -163,15 +170,15 @@ def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar, rel_tol: float) -> list
     exact = all(isinstance(v, (int, Fraction)) for v in (d2, d1, d0))
     d2, d1, d0 = map(Fraction if exact else float, (d2, d1, d0))
     scale = 0 if exact else max(1.0, abs(d2), abs(d1), abs(d0))
-    if abs(d2) <= rel_tol * scale:
-        if abs(d1) <= rel_tol * scale:
-            if abs(d0) <= rel_tol * scale:
+    if abs(d2) <= REL_TOL * scale:
+        if abs(d1) <= REL_TOL * scale:
+            if abs(d0) <= REL_TOL * scale:
                 raise NoRealK("discriminant condition degenerates to 0 = 0")
             raise NoRealK("discriminant condition is a nonzero constant")
         return [-d0 / d1]
     inner = d1 * d1 - 4 * d2 * d0
     if inner < 0:
-        if inner < -rel_tol * scale * scale:
+        if inner < -REL_TOL * scale * scale:
             shown = inner if exact else format(inner, "g")
             raise NoRealK(f"discriminant of the k-condition is {shown} < 0")
         inner = 0.0  # float rounding just below zero
@@ -187,7 +194,7 @@ def _quad_real_roots(d2: Scalar, d1: Scalar, d0: Scalar, rel_tol: float) -> list
     return sorted({q / d2, d0 / q})
 
 
-def _branch_table(problem: NUProblem, rel_tol: float) -> list:
+def _branch_table(problem: NUProblem) -> list:
     """(k, (b+, b-)) for each real k whose radicand is a perfect square, ascending.
 
     The radicand's s-discriminant is quadratic in k; each real root is kept
@@ -199,9 +206,9 @@ def _branch_table(problem: NUProblem, rel_tol: float) -> list:
     base = h * h - problem.sigma_tilde
     disc2, disc1, disc0 = _k_discriminant_coeffs(base, problem.sigma)
     table = []
-    for k in _quad_real_roots(disc2, disc1, disc0, rel_tol):
+    for k in _quad_real_roots(disc2, disc1, disc0):
         try:
-            q = perfect_square_root(base + problem.sigma * k, rel_tol)
+            q = perfect_square_root(base + problem.sigma * k)
         except NotAPerfectSquare:
             continue
         table.append((k, _pair(problem, h, k, q)))
@@ -228,13 +235,13 @@ def _pair(problem: NUProblem, h: Poly, k: Scalar, q: Poly) -> tuple[NUBranch, NU
     return tuple(out)
 
 
-def branches(problem: NUProblem, k: Scalar, rel_tol: float = 1e-9) -> tuple[NUBranch, NUBranch]:
+def branches(problem: NUProblem, k: Scalar) -> tuple[NUBranch, NUBranch]:
     """Both sign choices of pi at a given k, plus branch first.
 
     `solution_chain` builds its branches in one pass and does not call this;
     it is the per-k build that tests compare `Chain.branches` against.
     """
-    q = perfect_square_root(problem.radicand(k), rel_tol)
+    q = perfect_square_root(problem.radicand(k))
     return _pair(problem, problem.half_shift(), k, q)
 
 
@@ -257,49 +264,34 @@ def select_physical(candidates: Sequence[NUBranch]) -> NUBranch:
     return phys[0]
 
 
-def classify(problem: NUProblem) -> Family:
-    """Family of the polynomial solutions, from sigma's root pattern.
-
-    Two distinct real roots -> Jacobi, one simple root -> Laguerre, no root
-    (constant sigma) -> Hermite. A double or complex pair is not reducible to
-    a classical weight and raises UnclassifiedSigma.
-    """
-    d = problem.sigma.degree
-    if d == 0:
-        return Family.HERMITE
-    if d == 1:
-        return Family.LAGUERRE
-    disc = quad_discriminant(problem.sigma)
-    if disc > 0:
-        return Family.JACOBI
-    raise UnclassifiedSigma(f"sigma discriminant {disc} is not positive")
-
-
 def sigma_roots(problem: NUProblem) -> tuple:
-    """Real roots of sigma, ascending, exact when the arithmetic allows."""
-    fam = classify(problem)
-    if fam is Family.HERMITE:
+    """Real roots of sigma, ascending, exact when the arithmetic allows: none
+    for constant sigma, one for linear; a quadratic without two distinct real
+    roots has no classical weight and raises UnclassifiedSigma."""
+    sigma = problem.sigma
+    if sigma.degree == 0:
         return ()
-    if fam is Family.LAGUERRE:
-        c1, c0 = problem.sigma.coefficient(1), problem.sigma.coefficient(0)
-        return (-c0 / c1,)
-    a, b = problem.sigma.coefficient(2), problem.sigma.coefficient(1)
-    s = scalar_sqrt(quad_discriminant(problem.sigma))
+    a, b, c = (sigma.coefficient(i) for i in (2, 1, 0))
+    if sigma.degree == 1:
+        return (-c / b,)
+    disc = quad_discriminant(sigma)
+    if not disc > 0:
+        raise UnclassifiedSigma(f"sigma discriminant {disc} is not positive")
+    s = scalar_sqrt(disc)
     return tuple(sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)), key=float))
 
 
+def classify(problem: NUProblem) -> Family:
+    """Family of the polynomial solutions, from the number of sigma's real
+    roots: Hermite for none, Laguerre for one, Jacobi for two."""
+    return (Family.HERMITE, Family.LAGUERRE, Family.JACOBI)[len(sigma_roots(problem))]
+
+
 def quantization(problem: NUProblem, branch: NUBranch) -> Quantization:
-    """Closed-form lambda_bar_n from tau' and sigma''."""
+    """Closed form lambda_bar_n = -n tau' - n(n-1) sigma''/2 = (c2 - tau') n - c2 n^2."""
     tau1 = branch.tau_prime
-    sig2 = problem.sigma.coefficient(2) * 2
-    half_sig2 = sig2 / 2
-    zero = tau1 * 0
-    return Quantization(
-        family=classify(problem),
-        constant=zero,
-        linear=-tau1 + half_sig2,
-        quadratic=-half_sig2,
-    )
+    c2 = problem.sigma.coefficient(2)
+    return Quantization(constant=tau1 * 0, linear=-tau1 + c2, quadratic=-c2)
 
 
 def phi_parameters(problem: NUProblem, branch: NUBranch) -> PhiFactor:
@@ -309,57 +301,45 @@ def phi_parameters(problem: NUProblem, branch: NUBranch) -> PhiFactor:
     what remains of pi/sigma after removing those poles integrates to the
     exponential part.
     """
-    fam = classify(problem)
-    pi = branch.pi
-    if fam is Family.HERMITE:
-        c0 = problem.sigma.coefficient(0)
-        return PhiFactor(
-            roots=(),
-            exponents=(),
-            rate_linear=pi.coefficient(0) / c0,
-            rate_quadratic=pi.coefficient(1) / (2 * c0),
-        )
-    if fam is Family.LAGUERRE:
-        c1 = problem.sigma.coefficient(1)
-        (root,) = sigma_roots(problem)
-        zero = c1 * 0
-        return PhiFactor(
-            roots=(root,),
-            exponents=(pi(root) / c1,),
-            rate_linear=pi.coefficient(1) / c1,
-            rate_quadratic=zero,
-        )
     roots = sigma_roots(problem)
-    dsigma = problem.sigma.derivative()
+    pi, sigma = branch.pi, problem.sigma
+    if not roots:  # Hermite: no pole, pi/sigma integrates to the exponent
+        c0 = sigma.coefficient(0)
+        return PhiFactor(roots=(), exponents=(), rate_linear=pi.coefficient(0) / c0,
+                         rate_quadratic=pi.coefficient(1) / (2 * c0))
+    dsigma = sigma.derivative()
     exps = tuple(pi(r) / dsigma(r) for r in roots)
-    zero = exps[0] * 0
+    if len(roots) == 1:  # Laguerre: pi/sigma less the pole is pi'/sigma'
+        c1 = sigma.coefficient(1)
+        return PhiFactor(roots=roots, exponents=exps, rate_linear=pi.coefficient(1) / c1,
+                         rate_quadratic=c1 * 0)
+    zero = exps[0] * 0  # Jacobi: deg pi < deg sigma leaves no exponential part
     return PhiFactor(roots=roots, exponents=exps, rate_linear=zero, rate_quadratic=zero)
 
 
-def _admissible(problem: NUProblem, branch: NUBranch, phi: PhiFactor, tol: float) -> bool:
-    """Weight-factor test: integrable weight, no negative root exponents, decay."""
-    if any(float(e) < -tol for e in phi.exponents):
+def _admissible(problem: NUProblem, branch: NUBranch, phi: PhiFactor) -> bool:
+    """Weight-factor test on phi's roots: integrable weight, no negative exponents, decay."""
+    if any(float(e) < -REL_TOL for e in phi.exponents):
         return False
     # the family weight rho solves (sigma rho)' = tau rho, so near a simple
     # root s0 of sigma it scales as (s - s0)^(tau(s0)/sigma'(s0) - 1);
     # integrability of rho demands tau(s0)/sigma'(s0) > 0
     dsigma = problem.sigma.derivative()
-    for s0 in sigma_roots(problem):
+    for s0 in phi.roots:
         slope = float(dsigma(s0))
-        if slope == 0.0 or float(branch.tau(s0)) / slope <= tol:
+        if slope == 0.0 or float(branch.tau(s0)) / slope <= REL_TOL:
             return False
     rq, rl = float(phi.rate_quadratic), float(phi.rate_linear)
-    fam = classify(problem)
-    if fam is Family.HERMITE:
+    if not phi.roots:  # Hermite
         return rq < 0.0
-    if fam is Family.LAGUERRE:
+    if len(phi.roots) == 1:  # Laguerre
         # domain runs from sigma's root toward +inf when sigma' > 0, else -inf
         direction = 1.0 if float(problem.sigma.coefficient(1)) > 0 else -1.0
         return direction * rl < 0.0
     return True  # Jacobi: compact domain, no exponential part
 
 
-def solution_chain(problem: NUProblem, rel_tol: float = 1e-9) -> Chain:
+def solution_chain(problem: NUProblem) -> Chain:
     """Pick the bound-state reduction among every k and sign choice.
 
     Each branch is built once, and `Chain.branches` keeps them all. tau' < 0
@@ -372,14 +352,14 @@ def solution_chain(problem: NUProblem, rel_tol: float = 1e-9) -> Chain:
     Raises NoPhysicalBranch, listing every branch's tau', when none survives.
     """
     fam = classify(problem)
-    table = _branch_table(problem, rel_tol)
+    table = _branch_table(problem)
     all_branches = tuple(b for _, pair in table for b in pair)
-    found = {}  # same pi at the same k is the same branch
+    found = {}
     for b in all_branches:
         if b.physical:
             phi = phi_parameters(problem, b)
-            if _admissible(problem, b, phi, rel_tol):
-                found.setdefault((float(b.k), b.pi.values), (b, phi))
+            if _admissible(problem, b, phi):
+                found.setdefault(_identity(b), (b, phi))
     if not found:
         raise NoPhysicalBranch("; ".join(
             f"k = {b.k}, sign {'+' if b.sign > 0 else '-'}: tau' = {b.tau_prime}"

@@ -256,7 +256,9 @@ def _angular_level(
 ) -> float:
     """n-th eigenvalue of the factored polar problem on `cells` equal cells.
 
-    With f = phi g, phi = (1 - x)^a (1 + x)^b, the problem for g is
+    `cells` is even (`angular_numeric_lambda` passes multiples of 100), so
+    x = 0 is a face and every cell lies in one half. With f = phi g,
+    phi = (1 - x)^a (1 + x)^b, the problem for g is
     -(p phi^2 g')' + c phi^2 g = lam phi^2 g with p = 1 - x^2 and
     c = q - (p phi')'/phi. p phi^2 vanishes at both ends, so they are
     natural (flux-free) and need no wall. Cell-centred: p phi^2 on the faces,
@@ -275,9 +277,6 @@ def _angular_level(
     left = 2.0 * a * np.log1p(-x) + _log_power_moments(cells, h, 2.0 * b)
     right = 2.0 * b * np.log1p(x) + _log_power_moments(cells, h, 2.0 * a)[::-1]
     log_w = np.where(x < 0.0, left, right)
-    if cells % 2:  # the middle cell takes the mean of both
-        mid = cells // 2
-        log_w[mid] = np.logaddexp(left[mid], right[mid]) - math.log(2.0)
     log_w -= math.log(h)
 
     # phi'/phi and its derivative; (p phi')'/phi = p' s + p (s^2 + s')

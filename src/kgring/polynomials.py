@@ -24,6 +24,10 @@ Scalar = Union[int, float, Fraction]
 
 _EXACT_TYPES = (int, Fraction)
 
+# how far from 0, relative to the coefficients' scale, a float may be and
+# still count as an exact zero; the exact track allows nothing
+REL_TOL = 1e-9
+
 
 def scalar_sqrt(x: Scalar) -> Scalar:
     """sqrt(x): a Fraction when x is exact and a perfect square, else math.sqrt(x).
@@ -152,11 +156,11 @@ def quad_discriminant(p: Poly) -> Scalar:
     return b * b - 4 * a * c
 
 
-def perfect_square_root(p: Poly, rel_tol: float = 1e-9) -> Poly:
+def perfect_square_root(p: Poly) -> Poly:
     """Linear q with q*q = p, for quadratics that are perfect squares.
 
     Exact polynomials must have an exactly zero discriminant; float ones are
-    accepted when |disc| <= rel_tol * max(1, ||p||_inf)^2. The root is
+    accepted when |disc| <= REL_TOL * max(1, ||p||_inf)^2. The root is
     normalized to a non-negative leading coefficient. The result stays exact
     only when the needed square roots are rational; otherwise it is
     float-backed even for exact input.
@@ -170,7 +174,7 @@ def perfect_square_root(p: Poly, rel_tol: float = 1e-9) -> Poly:
     # the exact track is the float one at zero tolerance
     scale = 0 if p.is_exact else max(1.0, max(abs(v) for v in p.values))
     disc = quad_discriminant(p)
-    if abs(disc) > rel_tol * scale * scale:
+    if abs(disc) > REL_TOL * scale * scale:
         raise NotAPerfectSquare(f"discriminant {disc} != 0" if p.is_exact
                                 else f"discriminant {disc:g} exceeds tolerance")
     if a > 0:
@@ -180,7 +184,7 @@ def perfect_square_root(p: Poly, rel_tol: float = 1e-9) -> Poly:
         raise NotAPerfectSquare("negative leading coefficient")
     # a == 0 leaves b within tolerance of 0 (disc = b^2), so p is the constant c
     if c < 0:
-        if c < -rel_tol * scale:
+        if c < -REL_TOL * scale:
             raise NotAPerfectSquare("negative constant")
         c = 0.0  # float rounding just below zero
     return Poly([scalar_sqrt(c)])

@@ -217,6 +217,34 @@ class TestSolveBoundState:
                 solve_bound_state(p, qn, max_iter=max_iter)
         assert solve_bound_state(p, qn, max_iter=7).energy == 1.5333220777264398
 
+    # draws from a seeded sweep, one per path through the bisection fallback
+    def test_fallback_bisection_converges(self):
+        # Steffensen steps stop improving, and the bisection meets tol at the 54th evaluation
+        p = PotentialParams(-22.372510860239345, 0.4771462321922144, 1.6256769810921838,
+                            7.9250166332933105, Coupling.HALVED)
+        qn = QuantumNumbers(2, 1, 2)
+        got = solve_bound_state(p, qn, tol=1e-19, max_iter=200)
+        assert (got.energy, got.iterations) == (-4.537032839508502, 54)
+        root = fifty_digit_root(p, qn, got.energy)
+        assert abs(got.energy - root) <= 4 * math.ulp(float(p.mass))
+
+    @pytest.mark.parametrize("alpha,beta,gamma,mass,coupling,qn,tol,max_iter,error", [
+        # Steffensen steps stop improving, and the bisection spends the rest of the budget
+        (-1.5931605681294947, 0.12331179102954626, -1.4056319101345212, 5.158533579293292,
+         Coupling.HALVED, (2, 3, -4), 1e-17, 40, NoConvergence),
+        # the map is undefined at the window top, which steps down a float;
+        # then eps - g(eps) >= 0 at the window bottom: no level in the window
+        (136639.60647103944, -0.3351289540582412, 2.2067536155479797, 9.152646906981914,
+         Coupling.FULL, (0, 1, -1), 1e-12, 200, NoBoundState),
+        # eps - g(eps) >= 0 at the window bottom: no level in the window
+        (1892863.7375934664, 0.19605266128474286, -0.5082208967298083, 3.6518345367830856,
+         Coupling.FULL, (1, 1, -3), 1e-12, 200, NoBoundState),
+    ], ids=["bisection-budget", "top-steps-down", "no-level"])
+    def test_fallback_failures(self, alpha, beta, gamma, mass, coupling, qn, tol, max_iter, error):
+        p = PotentialParams(alpha, beta, gamma, mass, coupling)
+        with pytest.raises(error):
+            solve_bound_state(p, QuantumNumbers(*qn), tol=tol, max_iter=max_iter)
+
     def test_budget_counts_every_evaluation(self, monkeypatch):
         # the draw whose window top is undefined: Steffensen steps spend the
         # budget, and the window ends and the steps below the top count too
@@ -407,13 +435,16 @@ def assert_same_root(params, numbers, tol, max_iter, got, want):
     the loop raised, and with 200 it converges to this energy; or the
     solver's Steffensen steps spent the budget (NoConvergence) before the
     window ends that the loop's outcome took, and with 200 it reaches that
-    outcome.
+    outcome; or the solver ran out and the loop raised, and with 200 each
+    they reach the same outcome.
     """
     mass = float(params.mass)
     if kind(got) != kind(want):
         assert max_iter < 200
         if kind(got) is NoConvergence:
             got = outcome(solve_bound_state, params, numbers, tol, 200)
+            if kind(want) != "converged":
+                want = outcome(loop_solve_bound_state, params, numbers, tol, 200)
         else:
             assert kind(got) == "converged" and kind(want) in (NoConvergence, ComplexU)
             want = outcome(loop_solve_bound_state, params, numbers, tol, 200)
@@ -463,6 +494,11 @@ class TestSolveMatchesLoop:
         qn=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
         tol=st.sampled_from([1e-4, 1e-12, 1e-15]), max_iter=st.sampled_from([2, 6, 20, 200]),
     )
+    # the solver runs out of 2 evaluations, and the loop finds m^2 + beta_eff
+    # 3.6e-15 below |gamma_eff| at its own window top (ComplexU); with 200
+    # evaluations both converge, 5.9e-4 apart
+    @example(alpha=2.0, beta=0.99609375, gamma=1.3381403455485454, mass=7.0,
+             coupling=Coupling.FULL, qn=(0, 0, 3), tol=1e-4, max_iter=2)
     def test_random(self, alpha, beta, gamma, mass, coupling, qn, tol, max_iter):
         params = PotentialParams(alpha, beta, gamma, mass, coupling)
         numbers = QuantumNumbers(*qn)

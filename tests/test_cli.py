@@ -593,6 +593,14 @@ class TestNuReduceContract:
             rows = list(csv.reader(io.StringIO(out)))
             assert rows[0] == ["key", "value"] and all(len(r) == 2 for r in rows)
 
+    @pytest.mark.parametrize("flag", ["--tol=-5", "--max-iter=0", "--tol=1e-12"])
+    def test_solver_options_are_usage_errors(self, flag):
+        # nu reduce runs no solver, so it takes neither --tol nor --max-iter,
+        # not even at the solving commands' defaults
+        code, out, err = _run_main([*NU_RADIAL, flag])
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
+
 
 # float literals for the float-typed commands, at and beyond float range
 _FLOAT_EXTREMES = ("0", "-1", "5e-324", "-5e-324", "1e-400", "1e308", "-1e308", "1e400",

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgring.errors import DegreeError, DomainError, NotAPerfectSquare
-from kgring.polynomials import Poly, format_poly, perfect_square_root, quad_discriminant, scalar_sqrt
+from kgring.polynomials import (
+    REL_TOL,
+    Poly,
+    format_poly,
+    perfect_square_root,
+    quad_discriminant,
+    scalar_sqrt,
+)
 
 F = Fraction
 
@@ -132,11 +139,16 @@ class TestPerfectSquareRoot:
         assert q.coefficient(0) == pytest.approx(-math.sqrt(2))
 
     def test_float_tolerance_path(self):
+        # (s - 1.5)^2 with its constant moved: |disc| = 4e-13 is within
+        # REL_TOL * 3^2 and accepted, 4e-6 is beyond it and rejected
         p = Poly([2.25 + 1e-13, -3.0, 1.0])
-        q = perfect_square_root(p, rel_tol=1e-9)
+        assert abs(quad_discriminant(p)) <= REL_TOL * 3.0**2
+        q = perfect_square_root(p)
         assert q(1.5) == pytest.approx(0.0, abs=1e-6)
+        off = Poly([2.25 + 1e-6, -3.0, 1.0])
+        assert abs(quad_discriminant(off)) > REL_TOL * 3.0**2
         with pytest.raises(NotAPerfectSquare):
-            perfect_square_root(p, rel_tol=1e-16)
+            perfect_square_root(off)
 
     def test_degree_guard(self):
         with pytest.raises(DegreeError):
@@ -160,7 +172,12 @@ class TestPerfectSquareRoot:
     )
     def test_float_square_then_root(self, a, b):
         q = Poly([b, a])
-        r = perfect_square_root(q * q, rel_tol=1e-12)
+        p = q * q
+        # the square's own discriminant is within 1e-12 of its scale squared,
+        # a thousandth of what perfect_square_root allows
+        scale = max(1.0, max(abs(v) for v in p.values))
+        assert abs(quad_discriminant(p)) <= 1e-12 * scale * scale
+        r = perfect_square_root(p)
         assert r.coefficient(1) == pytest.approx(a, rel=1e-9)
         assert r.coefficient(0) == pytest.approx(b, rel=1e-6, abs=1e-9)
 
