@@ -17,14 +17,16 @@ degree n exactly when
 
     lambda_bar = -n tau' - n(n-1)/2 sigma'',
 
-which is the quantization rule everything downstream consumes. A branch is
-physical when tau' < 0; among physical branches the bound-state chain also
-needs phi to be an admissible weight factor (non-negative exponents at the
-finite roots of sigma, an integrable orthogonality weight there, and a
-decaying exponential part).
+which is the quantization rule everything downstream consumes. The number of
+sigma's real roots is the family (none: Hermite, one: Laguerre, two: Jacobi),
+and phi has a power of (s - r) at each root r. A branch is physical when
+tau' < 0; among physical branches the bound-state chain also needs phi to be
+an admissible weight factor (non-negative exponents at sigma's roots, an
+integrable orthogonality weight there, and a decaying exponential part).
 
 All algebra runs on `Poly`, so rational input yields rational k, pi, tau and
-lambda_bar whenever the needed square roots are rational.
+lambda_bar whenever the needed square roots are rational. Float input is held
+to one tolerance, `polynomials.REL_TOL`.
 """
 
 from __future__ import annotations

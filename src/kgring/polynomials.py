@@ -24,9 +24,7 @@ Scalar = Union[int, float, Fraction]
 
 _EXACT_TYPES = (int, Fraction)
 
-# how far from 0, relative to the coefficients' scale, a float may be and
-# still count as an exact zero; the exact track allows nothing
-REL_TOL = 1e-9
+REL_TOL = 1e-9  # a float this near 0, relative to the coefficients' scale, counts as 0
 
 
 def scalar_sqrt(x: Scalar) -> Scalar:

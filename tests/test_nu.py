@@ -30,7 +30,7 @@ from kgring.nu import (
     sigma_roots,
     solution_chain,
 )
-from kgring.polynomials import Poly
+from kgring.polynomials import REL_TOL, Poly
 
 F = Fraction
 
@@ -320,11 +320,11 @@ class TestFailureModes:
     @example(case=("radial", (-2, 0, 0, 5, Coupling.HALVED), 4, 2))  # radial_case()
     def test_float_route_matches_exact(self, case):
         # the float image of an exact problem takes the same branch, with k,
-        # tau' and lambda_bar within the engine's own rel_tol of
+        # tau' and lambda_bar within the engine's own REL_TOL of
         # max(1, |value|): an exact k = 0 comes out of floats as about 1e-14
         exact, floaty = (_chain(case, conv) for conv in (lambda v: v, float))
         assert exact.branch.pi.is_exact and not floaty.branch.pi.is_exact
         assert (floaty.family, floaty.branch.sign) == (exact.family, exact.branch.sign)
         for attr in ("k", "tau_prime", "lambda_bar"):
             want = float(getattr(exact.branch, attr))
-            assert getattr(floaty.branch, attr) == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert getattr(floaty.branch, attr) == pytest.approx(want, rel=REL_TOL, abs=REL_TOL)
