@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy
+from .errors import ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy, check_int
 from .nu import NUProblem
 from .polynomials import Poly, Scalar, scalar_sqrt
 from .special import jacobi_poly, laguerre_assoc
@@ -99,12 +99,9 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
-        for name in ("N", "n", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError(f"{name} must be an int, got {v!r}")
-        if self.N < 0 or self.n < 0:
-            raise DomainError(f"N and n must be non-negative, got {self.N}, {self.n}")
+        check_int("N", self.N, 0)
+        check_int("n", self.n, 0)
+        check_int("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -157,10 +154,8 @@ def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularS
     complex and ComplexU is raised). Results stay exact for exact inputs
     whose square roots are rational.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise DomainError(f"m must be an int, got {m!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a non-negative int, got {n!r}")
+    check_int("m", m)
+    check_int("n", n, 0)
     return _angular_solution(m, n, 1, beta_eff, gamma_eff)
 
 
@@ -170,8 +165,7 @@ def radial_energy(N: int, l_eff: Scalar, alpha: Scalar, mass: Scalar) -> Scalar:
     `alpha` is the attraction strength in c(eps) units; only alpha^2 enters.
     Exact inputs give an exact rational energy.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise DomainError(f"N must be a non-negative int, got {N!r}")
+    check_int("N", N, 0)
     if float(l_eff) < 0.0:
         raise DomainError(f"l_eff must be non-negative, got {l_eff}")
     if not float(mass) > 0.0:
@@ -354,8 +348,7 @@ def solve_bound_state(
     every (N, n) of a level gets the same energy, iterations and residual,
     and the state's AngularSolution comes from the same `_polar_root`.
     """
-    if not (isinstance(max_iter, int) and max_iter >= 2):
-        raise DomainError(f"max_iter must be an int >= 2, got {max_iter!r}")
+    check_int("max_iter", max_iter, 2)
     if not float(tol) > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     mass = float(params.mass)
@@ -502,8 +495,7 @@ def radial_mode(N: int, l_eff: float, kappa: float, r):
     orthogonal over N. A bound state's own mode has kappa tied to its energy;
     see `radial_wavefunction`.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise DomainError(f"N must be a non-negative int, got {N!r}")
+    check_int("N", N, 0)
     if float(l_eff) < 0.0 or not float(kappa) > 0.0:
         raise DomainError(f"need l_eff >= 0 and kappa > 0, got {l_eff}, {kappa}")
     rr = np.asarray(r, dtype=float)
@@ -525,8 +517,7 @@ def angular_mode(n: int, B: float, C: float, x, negative_gamma: bool = False):
     which is the orientation solving the equation when gamma_eff < 0. Modes
     sharing (B, C) are mutually orthogonal over n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a non-negative int, got {n!r}")
+    check_int("n", n, 0)
     Bf, Cf = float(B), float(C)
     if Bf < 0.0 or Cf < 0.0 or Cf > Bf:
         raise DomainError(f"need B >= C >= 0, got B = {B}, C = {C}")

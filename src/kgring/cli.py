@@ -282,8 +282,7 @@ def _solve_level(params, s, m, args):
 def _spectrum_record(level, N, n, m) -> dict:
     base = {"N": N, "n": n, "m": m}
     if isinstance(level, SolverError):
-        return {**base, "l_eff": None, "energy": None, "binding": None,
-                "iterations": 0, "converged": False, "residual": None,
+        return {**dict.fromkeys(SPECTRUM_FIELDS), **base, "iterations": 0, "converged": False,
                 "error": type(level).__name__}
     # l_eff = n + B, formed as the AngularSolution forms it (B is a Fraction
     # where the strengths leave it exact)
@@ -372,11 +371,8 @@ def _residual_pair(params, st):
 
 def _verify_record(level, N, n, m, params, args, grid) -> dict:
     base = {"kind": "check", "N": N, "n": n, "m": m}
-    blank = {"energy": None, "energy_fd": None, "energy_err": None,
-             "lambda": None, "lambda_fd": None, "lambda_err": None,
-             "radial_residual": None, "angular_residual": None}
     if isinstance(level, SolverError):
-        return {**base, **blank, "ok": False, "error": type(level).__name__}
+        return {**dict.fromkeys(VERIFY_FIELDS), **base, "ok": False, "error": type(level).__name__}
     try:
         st = level.on_level(QuantumNumbers(N, n, m))
         lam = float(st.separation_lambda)
@@ -392,7 +388,7 @@ def _verify_record(level, N, n, m, params, args, grid) -> dict:
                 "lambda": lam, "lambda_fd": lam_fd, "lambda_err": lam_err,
                 "radial_residual": res_r, "angular_residual": res_x, "ok": ok, "error": None}
     except SolverError as exc:
-        return {**base, **blank, "ok": False, "error": type(exc).__name__}
+        return {**dict.fromkeys(VERIFY_FIELDS), **base, "ok": False, "error": type(exc).__name__}
 
 
 def cmd_verify(args) -> int:
@@ -407,11 +403,8 @@ def cmd_verify(args) -> int:
                   default=None)
     worst_l = max((r["lambda_err"] for r in records if r["lambda_err"] is not None),
                   default=None)
-    summary = {"kind": "summary", "N": None, "n": None, "m": None,
-               "energy": None, "energy_fd": None, "energy_err": worst_e,
-               "lambda": None, "lambda_fd": None, "lambda_err": worst_l,
-               "radial_residual": None, "angular_residual": None,
-               "ok": all_ok, "error": None}
+    summary = {**dict.fromkeys(VERIFY_FIELDS), "kind": "summary", "energy_err": worst_e,
+               "lambda_err": worst_l, "ok": all_ok}
     sys.stdout.write(_emit_rows(records + [summary], VERIFY_FIELDS, args.format))
     return 0 if all_ok else 2
 
@@ -452,7 +445,7 @@ def _nu_payload(chain: Chain, var: str, target: str, degree, lambda_bar_n) -> di
         "family": chain.family.value,
         "candidates": [_json_scalar(k) for k in chain.candidates],
         "branches": branch_rows,
-        "selected": _branch_payload(sel, var, True),
+        "selected": branch_rows[chain.branches.index(sel)],
         "phi": {
             "roots": [_json_scalar(r) for r in chain.phi.roots],
             "exponents": [_json_scalar(e) for e in chain.phi.exponents],
@@ -533,15 +526,15 @@ def cmd_nu_reduce(args) -> int:
     else:
         problem = angular_nu_problem(params, args.epsilon, args.m, args.lam)
         var = "x"
-    chain = solution_chain(problem)
-    lambda_bar_n = None if args.degree is None else chain.quantization.evaluate(args.degree)
     emit = {"text": _nu_text, "csv": lambda payload: _emit_csv(_flatten(payload), ("key", "value")),
             "json": lambda payload: json.dumps(payload, indent=2) + "\n"}[args.format]
     try:
+        chain = solution_chain(problem)
+        lambda_bar_n = None if args.degree is None else chain.quantization.evaluate(args.degree)
         text = emit(_nu_payload(chain, var, args.target, args.degree, lambda_bar_n))
     except ValueError as exc:
-        # only int -> str past sys.get_int_max_str_digits(); any other
-        # ValueError (a DomainError included) keeps its own message
+        # only int -> str past sys.get_int_max_str_digits(), in the emitter or an error
+        # message; any other ValueError (a DomainError included) keeps its own message
         if "integer string conversion" not in str(exc):
             raise
         raise DomainError(f"an exact value is too long to print: {exc}") from None

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument rule."""
 
 
 class SolverError(Exception):
@@ -51,3 +51,11 @@ class DomainError(SolverError, ValueError):
 
 class DegeneracyWarning(UserWarning):
     """Two equally admissible branches; the conventional one was chosen."""
+
+
+def check_int(name: str, value, least: int | None = None) -> None:
+    """DomainError naming `name` unless `value` is an int, not a bool, and at
+    least `least` where given: every count, degree and quantum number."""
+    if type(value) is bool or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an int{bound}, got {value!r}")

@@ -46,6 +46,7 @@ from .errors import (
     NoRealK,
     NotAPerfectSquare,
     UnclassifiedSigma,
+    check_int,
 )
 from .polynomials import REL_TOL, Poly, Scalar, perfect_square_root, quad_discriminant, scalar_sqrt
 
@@ -120,8 +121,7 @@ class Quantization:
     quadratic: Scalar
 
     def evaluate(self, n: int) -> Scalar:
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"polynomial degree must be a non-negative int, got {n!r}")
+        check_int("polynomial degree", n, 0)
         try:
             return self.constant + self.linear * n + self.quadratic * n * n
         except OverflowError:  # a float rule at a degree beyond float range
@@ -283,10 +283,13 @@ def sigma_roots(problem: NUProblem) -> tuple:
     return tuple(sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)), key=float))
 
 
+_FAMILIES = (Family.HERMITE, Family.LAGUERRE, Family.JACOBI)
+
+
 def classify(problem: NUProblem) -> Family:
     """Family of the polynomial solutions, from the number of sigma's real
     roots: Hermite for none, Laguerre for one, Jacobi for two."""
-    return (Family.HERMITE, Family.LAGUERRE, Family.JACOBI)[len(sigma_roots(problem))]
+    return _FAMILIES[len(sigma_roots(problem))]
 
 
 def quantization(problem: NUProblem, branch: NUBranch) -> Quantization:
@@ -303,7 +306,11 @@ def phi_parameters(problem: NUProblem, branch: NUBranch) -> PhiFactor:
     what remains of pi/sigma after removing those poles integrates to the
     exponential part.
     """
-    roots = sigma_roots(problem)
+    return _phi(problem, branch, sigma_roots(problem))
+
+
+def _phi(problem: NUProblem, branch: NUBranch, roots: tuple) -> PhiFactor:
+    """`phi_parameters` with sigma's roots already found."""
     pi, sigma = branch.pi, problem.sigma
     if not roots:  # Hermite: no pole, pi/sigma integrates to the exponent
         c0 = sigma.coefficient(0)
@@ -353,13 +360,13 @@ def solution_chain(problem: NUProblem) -> Chain:
 
     Raises NoPhysicalBranch, listing every branch's tau', when none survives.
     """
-    fam = classify(problem)
+    roots = sigma_roots(problem)
     table = _branch_table(problem)
     all_branches = tuple(b for _, pair in table for b in pair)
     found = {}
     for b in all_branches:
         if b.physical:
-            phi = phi_parameters(problem, b)
+            phi = _phi(problem, b, roots)
             if _admissible(problem, b, phi):
                 found.setdefault(_identity(b), (b, phi))
     if not found:
@@ -370,7 +377,7 @@ def solution_chain(problem: NUProblem) -> Chain:
     phi = next(p for b, p in found.values() if b is branch)
     return Chain(
         problem=problem,
-        family=fam,
+        family=_FAMILIES[len(roots)],
         candidates=tuple(k for k, _ in table),
         branches=all_branches,
         branch=branch,

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState
+from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState, check_int
 from .kernels import as_kernel_off_sq, bisect, count_below, eigenvalue_indexed, within_bounds
 
 if TYPE_CHECKING:  # only the parameter bundle's attributes are used
@@ -62,10 +62,8 @@ class GridSpec:
     refinement: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.points, int) or self.points < 100:
-            raise DomainError(f"points must be an int >= 100, got {self.points!r}")
-        if not isinstance(self.refinement, int) or self.refinement < 0:
-            raise DomainError(f"refinement must be an int >= 0, got {self.refinement!r}")
+        check_int("points", self.points, 100)
+        check_int("refinement", self.refinement, 0)
 
 
 def _extrapolate(vals: Sequence[float], orders: Sequence[float]) -> list[float]:
@@ -136,8 +134,7 @@ def radial_numeric_energy(
     given, certifies the last correction relative to mass or raises
     GridTooCoarse.
     """
-    if not isinstance(N, int) or N < 0:
-        raise DomainError(f"N must be a non-negative int, got {N!r}")
+    check_int("N", N, 0)
     lam = float(lam)
     if lam < 0.0:
         raise DomainError(f"lam must be non-negative, got {lam}")
@@ -211,10 +208,8 @@ def angular_numeric_lambda(
     changes no bit. With `tol` given, certifies the last extrapolation
     correction relative to max(1, |lam|) or raises GridTooCoarse.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise DomainError(f"m must be an int, got {m!r}")
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a non-negative int, got {n!r}")
+    check_int("m", m)
+    check_int("n", n, 0)
     beta_eff, gamma_eff = float(beta_eff), float(gamma_eff)
     mm = m * m + beta_eff
     if mm < abs(gamma_eff):

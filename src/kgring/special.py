@@ -7,12 +7,7 @@ arrays in the argument.
 
 from __future__ import annotations
 
-from .errors import DomainError
-
-
-def _check_degree(k) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"degree must be a non-negative int, got {k!r}")
+from .errors import DomainError, check_int
 
 
 def laguerre_assoc(k: int, a, z):
@@ -21,7 +16,7 @@ def laguerre_assoc(k: int, a, z):
     `z` may be a scalar or ndarray; Fractions in (a, z) propagate exactly.
     Requires a > -1.
     """
-    _check_degree(k)
+    check_int("degree", k, 0)
     if not float(a) > -1.0:
         raise DomainError(f"Laguerre parameter must exceed -1, got {a}")
     prev = 1 + z * 0
@@ -35,7 +30,7 @@ def laguerre_assoc(k: int, a, z):
 
 def jacobi_poly(k: int, a, b, x):
     """Jacobi polynomial P_k^(a,b)(x) by upward recurrence, a, b > -1."""
-    _check_degree(k)
+    check_int("degree", k, 0)
     if not (float(a) > -1.0 and float(b) > -1.0):
         raise DomainError(f"Jacobi parameters must exceed -1, got {a}, {b}")
     prev = 1 + x * 0

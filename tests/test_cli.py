@@ -220,6 +220,10 @@ class TestExitCodes:
         ("nu", {"--alpha": "0", "--beta": "2", "--gamma": "2", "--epsilon": "1",
                 "--target": "angular", "--m": "1", "--lambda": "20",
                 "--degree": str(10**2200)}, b"too long to print"),
+        # an error message quoting an exact value with as many digits: the
+        # k-condition's discriminant at an epsilon of 3,000 digits
+        ("nu", {"--alpha": "11/6", "--beta": "-13/6", "--gamma": "17/6", "--mass": "23",
+                "--epsilon": "1/" + "9" * 3000, "--lambda": "-3"}, b"too long to print"),
     ])
     def test_beyond_float_range(self, command, given, name):
         # finite literals whose floats overflow, alone or inside the solver or

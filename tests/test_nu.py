@@ -328,3 +328,17 @@ class TestFailureModes:
         for attr in ("k", "tau_prime", "lambda_bar"):
             want = float(getattr(exact.branch, attr))
             assert getattr(floaty.branch, attr) == pytest.approx(want, rel=REL_TOL, abs=REL_TOL)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("case", [radial_case, angular_case])
+    def test_sigma_roots_once_per_chain(self, case, monkeypatch):
+        # the family and every decreasing-tau branch's phi share one root finding
+        calls = []
+        monkeypatch.setattr("kgring.nu.sigma_roots", lambda p: calls.append(p) or sigma_roots(p))
+        problem = case()
+        chain = solution_chain(problem)
+        assert calls == [problem]
+        monkeypatch.undo()
+        assert chain.family == classify(problem)
+        assert chain.phi == phi_parameters(problem, chain.branch)
