@@ -6,6 +6,8 @@ reduction produces can be cross-checked against an independent
 finite-difference eigensolver (see `kgring.oracle`).
 """
 
+import importlib
+
 from .bound_states import (
     AngularSolution,
     BoundState,
@@ -38,7 +40,6 @@ from .errors import (
     UnboundEnergy,
     UnclassifiedSigma,
 )
-from .kernels import BACKEND
 from .nu import (
     Chain,
     Family,
@@ -51,16 +52,27 @@ from .nu import (
     select_physical,
     solution_chain,
 )
-from .oracle import (
-    GridSpec,
-    angular_numeric_lambda,
-    ode_residual,
-    radial_numeric_energy,
-)
 from .polynomials import Poly, format_poly, perfect_square_root, quad_discriminant
 from .special import jacobi_poly, laguerre_assoc
 
 __version__ = "0.1.0"
+
+# The oracle and its kernel import numpy, which the closed forms never need:
+# their names are resolved on first access (PEP 562), so `import kgring`
+# loads neither module until one of these is asked for.
+_LAZY = {
+    "BACKEND": "kernels",
+    "GridSpec": "oracle",
+    "angular_numeric_lambda": "oracle",
+    "ode_residual": "oracle",
+    "radial_numeric_energy": "oracle",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
 
 __all__ = [
     "AngularSolution", "BoundState", "Coupling", "PotentialParams",

@@ -42,8 +42,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy, check_int
 from .nu import NUProblem
 from .polynomials import Poly, Scalar, scalar_sqrt
@@ -495,6 +493,8 @@ def radial_mode(N: int, l_eff: float, kappa: float, r):
     orthogonal over N. A bound state's own mode has kappa tied to its energy;
     see `radial_wavefunction`.
     """
+    import numpy as np
+
     check_int("N", N, 0)
     if float(l_eff) < 0.0 or not float(kappa) > 0.0:
         raise DomainError(f"need l_eff >= 0 and kappa > 0, got {l_eff}, {kappa}")
@@ -517,6 +517,8 @@ def angular_mode(n: int, B: float, C: float, x, negative_gamma: bool = False):
     which is the orientation solving the equation when gamma_eff < 0. Modes
     sharing (B, C) are mutually orthogonal over n.
     """
+    import numpy as np
+
     check_int("n", n, 0)
     Bf, Cf = float(B), float(C)
     if Bf < 0.0 or Cf < 0.0 or Cf > Bf:

@@ -24,8 +24,6 @@ import warnings
 from fractions import Fraction
 from functools import cache, partial
 
-import numpy as np
-
 from .bound_states import (
     Coupling,
     PotentialParams,
@@ -39,7 +37,6 @@ from .bound_states import (
 )
 from .errors import DegeneracyWarning, DomainError, SolverError
 from .nu import Chain, solution_chain
-from .oracle import GridSpec, angular_numeric_lambda, ode_residual, radial_numeric_energy
 from .polynomials import format_poly
 
 SPECTRUM_FIELDS = (
@@ -303,6 +300,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    import numpy as np
+
     if args.samples < 2:
         raise DomainError(f"--samples must be >= 2, got {args.samples}")
     if args.rmax is not None and not 0.0 < args.rmax < math.inf:
@@ -343,6 +342,10 @@ def cmd_wavefunction(args) -> int:
 
 def _residual_pair(params, st):
     """Normalized ODE defects of the sampled closed-form factors."""
+    import numpy as np
+
+    from .oracle import ode_residual
+
     mass = float(params.mass)
     eps, lam = st.energy, float(st.separation_lambda)
     a_coup = params.coupling_factor * (eps + mass) * abs(float(params.alpha))
@@ -350,7 +353,7 @@ def _residual_pair(params, st):
     r = np.linspace(0.02 * r_out, 0.6 * r_out, 1501)
     u = radial_wavefunction(st, r)
 
-    def c_radial(rv: np.ndarray) -> np.ndarray:
+    def c_radial(rv):
         return (eps * eps - mass * mass) - lam / (rv * rv) + a_coup / rv
 
     x = np.linspace(-0.9, 0.9, 1501)
@@ -359,7 +362,7 @@ def _residual_pair(params, st):
     mm = st.numbers.m ** 2 + float(st.angular.beta_eff)
     ge = float(st.angular.gamma_eff)
 
-    def c_polar(xv: np.ndarray) -> np.ndarray:
+    def c_polar(xv):
         s = 1.0 - xv * xv
         return (lam * s - mm - ge * xv + 1.0) / (s * s)
 
@@ -370,6 +373,8 @@ def _residual_pair(params, st):
 
 
 def _verify_record(level, N, n, m, params, args, grid) -> dict:
+    from .oracle import angular_numeric_lambda, radial_numeric_energy
+
     base = {"kind": "check", "N": N, "n": n, "m": m}
     if isinstance(level, SolverError):
         return {**dict.fromkeys(VERIFY_FIELDS), **base, "ok": False, "error": type(level).__name__}
@@ -394,6 +399,8 @@ def _verify_record(level, N, n, m, params, args, grid) -> dict:
 def cmd_verify(args) -> int:
     if not 0.0 < args.vtol < math.inf:
         raise DomainError(f"--vtol must be positive and finite, got {args.vtol}")
+    from .oracle import GridSpec
+
     params = _build_params(args)
     _check_solver_options(args, params)
     grid = GridSpec(points=args.points, refinement=args.refine)

@@ -114,6 +114,11 @@ def _ladder(level: Callable[[int, tuple | None], float], sizes: Sequence[int],
     return diag[-1]
 
 
+# the finest radial level's point limit; a level peaks at about 104 bytes a
+# point, so this is about the polar limit's memory (`_MAX_POLAR_CELLS`)
+_MAX_RADIAL_POINTS = 1 << 21
+
+
 def radial_numeric_energy(
     params: "PotentialParams",
     lam: float,
@@ -132,7 +137,8 @@ def radial_numeric_energy(
     extrapolated in h^r with r = sqrt(1 + 4 lam) where 1 < r < 2 (the
     u ~ r^(l+1) term; at lam = 0 it vanishes), then h^2, h^4, ... With `tol`
     given, certifies the last correction relative to mass or raises
-    GridTooCoarse.
+    GridTooCoarse. A ladder whose finest level would exceed
+    `_MAX_RADIAL_POINTS` points raises DomainError before any level is built.
     """
     check_int("N", N, 0)
     lam = float(lam)
@@ -149,6 +155,9 @@ def radial_numeric_energy(
     scale = (eps0 + mass) * strength  # underflowing: _radial_level finds no float grid
     r_max = 80.0 * npr_est * npr_est / scale if scale > 0.0 else math.inf
     sizes = [(grid.points + 1) * 2 ** j - 1 for j in range(grid.refinement + 1)]  # h halves
+    if sizes[-1] > _MAX_RADIAL_POINTS:
+        raise DomainError(f"points {grid.points} and refinement {grid.refinement} need "
+                          f"{sizes[-1]} radial points, over {_MAX_RADIAL_POINTS}")
     return _ladder(partial(_radial_level, mass, strength, lam, N, r_max), sizes,
                    [r] if 1.0 < r < 2.0 else [], tol, grid.refinement, lambda v: mass)
 

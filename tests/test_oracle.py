@@ -342,6 +342,29 @@ class TestLadder:
         with pytest.raises(DomainError, match="polar cells"):
             angular_numeric_lambda(0.0, 0.0, 0, 0, GridSpec(refinement=14))
 
+    def test_radial_grid_has_a_ceiling(self, monkeypatch):
+        # refinement 14 would need 65,552,383 points on its finest level, a
+        # base of 10^8 as many at level 0: refused before any level is built
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(kgring.oracle, "_radial_level", no_level)
+        for grid in (GridSpec(refinement=14), GridSpec(points=10 ** 8, refinement=0),
+                     GridSpec(points=(1 << 21) + 1, refinement=0)):
+            with pytest.raises(DomainError, match="radial points"):
+                radial_numeric_energy(coulomb(), 2.0, 0, grid)
+
+        sizes = []
+
+        def spy(mass, strength, lam, N, r_max, npts, bounds=None):
+            sizes.append(npts)
+            return 0.5
+
+        monkeypatch.setattr(kgring.oracle, "_radial_level", spy)
+        radial_numeric_energy(coulomb(), 2.0, 0, GridSpec(points=1 << 21, refinement=0))
+        radial_numeric_energy(coulomb(), 2.0, 0, GridSpec(refinement=9))
+        assert sizes == [1 << 21] + [4001 * 2 ** j - 1 for j in range(10)]
+
 
 class TestCertification:
     """Given `tol`, a call either raises GridTooCoarse or returns within tol
