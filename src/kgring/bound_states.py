@@ -42,7 +42,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy, check_int
+from .errors import (ComplexU, DomainError, NoBoundState, NoConvergence, UnboundEnergy, check_int,
+                     check_real)
 from .nu import NUProblem
 from .polynomials import Poly, Scalar, scalar_sqrt
 from .special import jacobi_poly, laguerre_assoc
@@ -68,16 +69,9 @@ class PotentialParams:
     coupling: Coupling = Coupling.HALVED
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "mass"):
-            v = getattr(self, name)
-            try:  # ints and Fractions are finite, but every solver needs their float
-                finite = math.isfinite(v)
-            except OverflowError:
-                raise DomainError(f"{name} is beyond float range") from None
-            if not finite:
-                raise DomainError(f"{name} must be finite, got {v}")
-        if not float(self.mass) > 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        for name in ("alpha", "beta", "gamma"):
+            check_real(name, getattr(self, name))
+        check_real("mass", self.mass, above=0)
 
     @property
     def coupling_factor(self) -> int:
@@ -154,6 +148,8 @@ def effective_l(m: int, beta_eff: Scalar, gamma_eff: Scalar, n: int) -> AngularS
     """
     check_int("m", m)
     check_int("n", n, 0)
+    check_real("beta_eff", beta_eff)
+    check_real("gamma_eff", gamma_eff)
     return _angular_solution(m, n, 1, beta_eff, gamma_eff)
 
 
@@ -164,7 +160,8 @@ def radial_energy(N: int, l_eff: Scalar, alpha: Scalar, mass: Scalar) -> Scalar:
     Exact inputs give an exact rational energy.
     """
     check_int("N", N, 0)
-    if float(l_eff) < 0.0:
+    # inline, not check_real: the solver's map runs this per evaluation; NaN fails both
+    if not float(l_eff) >= 0.0:
         raise DomainError(f"l_eff must be non-negative, got {l_eff}")
     if not float(mass) > 0.0:
         raise DomainError(f"mass must be positive, got {mass}")
@@ -180,6 +177,8 @@ def radial_nu_problem(params: PotentialParams, eps: Scalar, lam: Scalar) -> NUPr
     transcribing the potential's alpha with its stored sign (attraction means
     a positive linear coefficient here).
     """
+    check_real("eps", eps)
+    check_real("lam", lam)
     if abs(float(eps)) >= float(params.mass):
         raise UnboundEnergy(f"|eps| = {abs(float(eps))} >= mass = {params.mass}")
     c = params.energy_coupling(eps)
@@ -197,6 +196,8 @@ def angular_nu_problem(params: PotentialParams, eps: Scalar, m: int, lam: Scalar
     sigma = 1 - x^2, tau_t = -2x,
     sigma_t = -lam x^2 - gamma_eff x + (lam - m^2 - beta_eff).
     """
+    check_real("eps", eps)
+    check_real("lam", lam)
     c = params.energy_coupling(eps)
     beta_eff = c * params.beta
     gamma_eff = c * params.gamma
@@ -347,8 +348,7 @@ def solve_bound_state(
     and the state's AngularSolution comes from the same `_polar_root`.
     """
     check_int("max_iter", max_iter, 2)
-    if not float(tol) > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_real("tol", tol, above=0)
     mass = float(params.mass)
     factor = params.coupling_factor
     strength = factor * abs(float(params.alpha))
@@ -496,8 +496,8 @@ def radial_mode(N: int, l_eff: float, kappa: float, r):
     import numpy as np
 
     check_int("N", N, 0)
-    if float(l_eff) < 0.0 or not float(kappa) > 0.0:
-        raise DomainError(f"need l_eff >= 0 and kappa > 0, got {l_eff}, {kappa}")
+    check_real("l_eff", l_eff, least=0)
+    check_real("kappa", kappa, above=0)
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0.0):
         raise DomainError("r must be non-negative")
@@ -520,9 +520,9 @@ def angular_mode(n: int, B: float, C: float, x, negative_gamma: bool = False):
     import numpy as np
 
     check_int("n", n, 0)
+    check_real("C", C, least=0)
+    check_real("B", B, least=float(C))
     Bf, Cf = float(B), float(C)
-    if Bf < 0.0 or Cf < 0.0 or Cf > Bf:
-        raise DomainError(f"need B >= C >= 0, got B = {B}, C = {C}")
     xx = np.asarray(x, dtype=float)
     if np.any(np.abs(xx) > 1.0):
         raise DomainError("x must lie in [-1, 1]")

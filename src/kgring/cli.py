@@ -17,12 +17,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
 import warnings
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain, islice
 
 from .bound_states import (
     Coupling,
@@ -35,7 +35,7 @@ from .bound_states import (
     radial_wavefunction,
     solve_bound_state,
 )
-from .errors import DegeneracyWarning, DomainError, SolverError
+from .errors import DegeneracyWarning, DomainError, SolverError, check_int, check_real
 from .nu import Chain, solution_chain
 from .polynomials import format_poly
 
@@ -105,9 +105,22 @@ def _emit_json_rows(rows) -> str:
 
 def _emit_csv(rows, fields) -> str:
     """What csv.writer writes for a header line and the cells
-    _cell(row.get(field)) of each row, in a table of two or more fields."""
-    columns = [_csv_column([f] + [r.get(f) for r in rows]) for f in fields]
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+    _cell(row.get(field)) of each row, in a table of two or more fields.
+
+    `rows` is any iterable, read _CSV_BLOCK rows at a time and column by
+    column within a block, so only one block's cells are held at once.
+    """
+    blocks = [",".join(_csv_column(fields))]
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        columns = [_csv_column([r.get(f) for r in block]) for f in fields]
+        blocks.append("\n".join(map(",".join, zip(*columns))))
+    blocks.append("")  # the final newline
+    return "\n".join(blocks)
+
+
+# rows per block of _emit_csv
+_CSV_BLOCK = 1024
 
 
 def _csv_column(values) -> list[str]:
@@ -235,10 +248,8 @@ def _build_params(args) -> PotentialParams:
 
 def _check_solver_options(args, params) -> None:
     """Reject what solve_bound_state would reject on every row, once, up front."""
-    if not args.tol > 0.0:
-        raise DomainError(f"--tol must be positive, got {args.tol}")
-    if args.max_iter < 2:
-        raise DomainError(f"--max-iter must be >= 2, got {args.max_iter}")
+    check_real("--tol", args.tol, above=0)
+    check_int("--max-iter", args.max_iter, 2)
     # the largest level of the grid bounds every row's floats
     check_float_range(params, QuantumNumbers(args.Nmax, args.nmax, args.mmax))
 
@@ -302,10 +313,9 @@ def cmd_spectrum(args) -> int:
 def cmd_wavefunction(args) -> int:
     import numpy as np
 
-    if args.samples < 2:
-        raise DomainError(f"--samples must be >= 2, got {args.samples}")
-    if args.rmax is not None and not 0.0 < args.rmax < math.inf:
-        raise DomainError(f"--rmax must be positive and finite, got {args.rmax}")
+    check_int("--samples", args.samples, 2)
+    if args.rmax is not None:
+        check_real("--rmax", args.rmax, above=0)
     params = _build_params(args)
     st = solve_bound_state(params, QuantumNumbers(args.N, args.n, args.m),
                            tol=args.tol, max_iter=args.max_iter)
@@ -324,16 +334,16 @@ def cmd_wavefunction(args) -> int:
         "converged": st.converged, "residual": st.residual, "rmax": rmax,
         "samples": args.samples,
     }
-    samples = [
+    samples = (
         {"kind": kind, "coordinate": c, "value": v}
         for kind, coords, values in (("radial", r, u), ("angular", x, th))
         for c, v in zip(coords.tolist(), values.tolist())
-    ]
+    )
     if args.format == "csv":  # the meta row as comment lines above the sample table
         sys.stdout.write("".join(f"# {key} = {_cell(val)}\n" for key, val in meta.items())
                          + _emit_csv(samples, WAVEFUNCTION_FIELDS))
     else:
-        sys.stdout.write(_emit_json_rows(_json_rows([{"kind": "meta", **meta}, *samples])))
+        sys.stdout.write(_emit_json_rows(_json_rows(chain([{"kind": "meta", **meta}], samples))))
     return 0
 
 
@@ -397,8 +407,7 @@ def _verify_record(level, N, n, m, params, args, grid) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if not 0.0 < args.vtol < math.inf:
-        raise DomainError(f"--vtol must be positive and finite, got {args.vtol}")
+    check_real("--vtol", args.vtol, above=0)
     from .oracle import GridSpec
 
     params = _build_params(args)
@@ -518,14 +527,7 @@ def _flatten(payload, prefix="") -> list[dict]:
 def cmd_nu_reduce(args) -> int:
     # exact literals stay exact, but every chain also carries their floats
     for name in ("alpha", "beta", "gamma", "mass", "epsilon", "lam"):
-        v = getattr(args, name)
-        try:
-            got = v if not math.isfinite(v) else None
-        except OverflowError:  # an exact literal beyond float range
-            got = math.inf if v > 0 else -math.inf
-        if got is not None:
-            flag = "--lambda" if name == "lam" else f"--{name}"
-            raise DomainError(f"{flag} must be finite, got {got}")
+        check_real("--lambda" if name == "lam" else f"--{name}", getattr(args, name))
     params = _build_params(args)
     if args.target == "radial":
         problem = radial_nu_problem(params, args.epsilon, args.lam)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and its one integer-argument rule."""
+"""Exception types shared across the package, and its integer- and real-argument rules."""
+
+import math
+from fractions import Fraction
 
 
 class SolverError(Exception):
@@ -59,3 +62,19 @@ def check_int(name: str, value, least: int | None = None) -> None:
     if type(value) is bool or not isinstance(value, int) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise DomainError(f"{name} must be an int{bound}, got {value!r}")
+
+
+def check_real(name: str, value, least=None, above=None) -> None:
+    """DomainError naming `name` unless `value` is an int (not a bool), a
+    Fraction or a float whose float is finite, and at least `least` or above
+    `above` where given: every energy, strength, tolerance and parameter."""
+    if type(value) is bool or not isinstance(value, (int, float, Fraction)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:  # ints and Fractions are finite, but every solver needs their float
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise DomainError(f"{name} is beyond float range") from None
+    if not (finite and (least is None or value >= least) and (above is None or value > above)):
+        bound = "" if least is None else f" and >= {least}"
+        bound += "" if above is None else f" and > {above}"
+        raise DomainError(f"{name} must be finite{bound}, got {value}")

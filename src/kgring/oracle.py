@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState, check_int
+from .errors import ComplexU, DomainError, GridTooCoarse, NoBoundState, check_int, check_real
 from .kernels import as_kernel_off_sq, bisect, count_below, eigenvalue_indexed, within_bounds
 
 if TYPE_CHECKING:  # only the parameter bundle's attributes are used
@@ -97,7 +97,10 @@ def _ladder(level: Callable[[int, tuple | None], float], sizes: Sequence[int],
     `tol` given, certification needs refinement >= 1, and the last
     correction, relative to scale(estimate), stands in for the error that
     the known orders leave: it must fit tol, or GridTooCoarse is raised.
+    A tol that is not a positive finite real raises DomainError before any level.
     """
+    if tol is not None:
+        check_real("tol", tol, above=0)
     vals: list[float] = []
     for size in sizes:
         # the coarser level's value, give or take its last move
@@ -141,9 +144,8 @@ def radial_numeric_energy(
     `_MAX_RADIAL_POINTS` points raises DomainError before any level is built.
     """
     check_int("N", N, 0)
+    check_real("lam", lam, least=0)
     lam = float(lam)
-    if lam < 0.0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
     mass = float(params.mass)
     strength = params.coupling_factor * abs(float(params.alpha))
     if strength == 0.0:
@@ -219,6 +221,8 @@ def angular_numeric_lambda(
     """
     check_int("m", m)
     check_int("n", n, 0)
+    check_real("beta_eff", beta_eff)
+    check_real("gamma_eff", gamma_eff)
     beta_eff, gamma_eff = float(beta_eff), float(gamma_eff)
     mm = m * m + beta_eff
     if mm < abs(gamma_eff):

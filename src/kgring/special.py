@@ -7,7 +7,7 @@ arrays in the argument.
 
 from __future__ import annotations
 
-from .errors import DomainError, check_int
+from .errors import check_int, check_real
 
 
 def laguerre_assoc(k: int, a, z):
@@ -17,8 +17,7 @@ def laguerre_assoc(k: int, a, z):
     Requires a > -1.
     """
     check_int("degree", k, 0)
-    if not float(a) > -1.0:
-        raise DomainError(f"Laguerre parameter must exceed -1, got {a}")
+    check_real("a", a, above=-1)
     prev = 1 + z * 0
     if k == 0:
         return prev
@@ -31,8 +30,8 @@ def laguerre_assoc(k: int, a, z):
 def jacobi_poly(k: int, a, b, x):
     """Jacobi polynomial P_k^(a,b)(x) by upward recurrence, a, b > -1."""
     check_int("degree", k, 0)
-    if not (float(a) > -1.0 and float(b) > -1.0):
-        raise DomainError(f"Jacobi parameters must exceed -1, got {a}, {b}")
+    check_real("a", a, above=-1)
+    check_real("b", b, above=-1)
     prev = 1 + x * 0
     if k == 0:
         return prev

@@ -175,6 +175,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag,value", [
         ("spectrum", "--tol", "nan"), ("spectrum", "--tol", "0"), ("spectrum", "--tol", "-1e-12"),
         ("spectrum", "--max-iter", "1"), ("verify", "--tol", "nan"), ("verify", "--max-iter", "0"),
+        ("spectrum", "--tol", "inf"),
     ])
     def test_bad_solver_option(self, command, flag, value):
         # rejected once, before any row is solved, not one DomainError row per state
@@ -426,10 +427,15 @@ class TestRowEmitters:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), fields=st.lists(_KEY, min_size=2, max_size=5, unique=True))
     def test_csv_equals_csv_writer_over_cells(self, data, fields):
-        from kgring.cli import _cell, _emit_csv
+        from kgring.cli import _CSV_BLOCK, _cell, _emit_csv
 
         values = _FLAT_VALUE | st.floats()  # CSV cells also print nan and inf
         rows = data.draw(st.lists(st.dictionaries(st.sampled_from(fields), values), max_size=6))
+        # plain rows ahead of the drawn ones, so that a table of one or two
+        # blocks, give or take a row, ends with them at or across a block edge
+        edges = [k * _CSV_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)]
+        size = data.draw(st.sampled_from([0] + edges))
+        rows = [{fields[0]: float(i)} for i in range(size - len(rows))] + rows
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)

@@ -365,6 +365,20 @@ class TestLadder:
         radial_numeric_energy(coulomb(), 2.0, 0, GridSpec(refinement=9))
         assert sizes == [1 << 21] + [4001 * 2 ** j - 1 for j in range(10)]
 
+    @pytest.mark.parametrize("tol", [math.nan, 0, -1, math.inf, True])
+    def test_tol_is_checked_before_any_level(self, monkeypatch, tol):
+        # a NaN tolerance used to pass every comparison and certify any
+        # ladder; 0 and -1 built every level before failing as GridTooCoarse
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(kgring.oracle, "_radial_level", no_level)
+        monkeypatch.setattr(kgring.oracle, "_angular_level", no_level)
+        with pytest.raises(DomainError, match="^tol "):
+            radial_numeric_energy(coulomb(), 2.0, 0, GridSpec(), tol=tol)
+        with pytest.raises(DomainError, match="^tol "):
+            angular_numeric_lambda(0.05, 0.02, 1, 0, GridSpec(), tol=tol)
+
 
 class TestCertification:
     """Given `tol`, a call either raises GridTooCoarse or returns within tol
